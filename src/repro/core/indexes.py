@@ -359,6 +359,9 @@ class D3LIndexes:
         #: cache) invalidate per table via :meth:`mutated_tables_since`
         #: instead of wholesale on every version bump.
         self._mutation_log: List[Tuple[int, str]] = []
+        #: Oldest base version the journal answers from: every mutation
+        #: after it is journaled.
+        self._journal_floor: int = 0
 
     # ------------------------------------------------------------------ #
     # profiling
@@ -619,7 +622,30 @@ class D3LIndexes:
         """Journal one mutation under the just-bumped version counter."""
         self._mutation_log.append((self.version, table_name))
         if len(self._mutation_log) > _MUTATION_LOG_LIMIT:
-            del self._mutation_log[: len(self._mutation_log) - _MUTATION_LOG_LIMIT]
+            dropped = len(self._mutation_log) - _MUTATION_LOG_LIMIT
+            self._journal_floor = max(self._journal_floor, self._mutation_log[dropped - 1][0])
+            del self._mutation_log[:dropped]
+
+    def journal_state(self) -> Tuple[List[Tuple[int, str]], int]:
+        """A copy of the mutation journal, for :meth:`rebase_journal`."""
+        return list(self._mutation_log), self._journal_floor
+
+    def rebase_journal(
+        self, journal: Tuple[List[Tuple[int, str]], int], version: int, tables: Sequence[str]
+    ) -> None:
+        """Restore ``journal`` and journal ``tables`` as mutated at ``version``.
+
+        For a replica that replayed a net delta up to another index's
+        ``version``: the replay bumped the counter once per table under its
+        own numbering, so the counter jumps to ``version`` and every replayed
+        table is journaled there.  For any base the replica held since
+        ``journal`` was taken, that is a superset of what changed, so caches
+        keep evicting per table across the jump.
+        """
+        self._mutation_log, self._journal_floor = journal
+        self.version = version
+        for table_name in tables:
+            self._log_mutation(table_name)
 
     def mutated_tables_since(self, version: int) -> Optional[set]:
         """Tables mutated after ``version``, or None when not reconstructible.
@@ -627,14 +653,14 @@ class D3LIndexes:
         Covers the interval ``(version, self.version]`` from the journal.
         Returns an empty set when ``version`` is current, and None when the
         base version is unknown (e.g. a restored engine whose journal was not
-        persisted) or has fallen out of the trailing window — callers must
-        then fall back to full invalidation.
+        persisted), older than the oldest version the journal covers, or the
+        journal is empty — callers must then fall back to full invalidation.
         """
         if version == self.version:
             return set()
-        if version > self.version or version < 0:
+        if version > self.version or version < self._journal_floor:
             return None
-        if self.version - version > len(self._mutation_log):
+        if not self._mutation_log:
             return None
         return {name for logged, name in self._mutation_log if logged > version}
 
@@ -783,14 +809,17 @@ class D3LIndexes:
     ) -> List[List[Tuple[AttributeRef, float]]]:
         """:meth:`lookup` for many query signatures of one evidence type.
 
-        Forest descents still happen per signature (each query has its own
-        prefix keys), but every retrieved candidate row of every query is
-        resolved against the :class:`SignatureMatrix` and scored in a single
-        gather plus one row-aligned distance kernel — the multi-query
-        batching the batched query engine fans out over.  Entry ``i`` of the
-        result equals ``lookup(evidence, ..., query_signatures={...})`` for
-        signature ``i`` exactly (same candidates, distances, and tie order);
-        ``None`` signatures yield empty answers.
+        One batched forest descent
+        (:meth:`~repro.lsh.lsh_forest.LSHForest.multi_query`) returns,
+        for every signature, exactly the candidates — in the same order —
+        that a one-signature descent returns; every retrieved candidate row
+        of every query is then resolved against the
+        :class:`SignatureMatrix` and scored in a single gather plus one
+        row-aligned distance kernel — the multi-query batching the batched
+        query engine fans out over.  Entry ``i`` of the result equals
+        ``lookup(evidence, ..., query_signatures={...})`` for signature
+        ``i`` exactly (same candidates, distances, and tie order); ``None``
+        signatures yield empty answers.
 
         ``exclude_tables`` gives each query its own exclusion (entry ``i``
         applies to signature ``i``), which is how the SA-join graph build
@@ -803,9 +832,9 @@ class D3LIndexes:
             raise ValueError("exclude_tables must align with signatures")
         forest = self._forests[evidence]
         matrix = self._matrices[evidence]
-        # One shared per-tree pass covers every query's forest descent; the
-        # candidate order may differ from per-query descents, which the
-        # (distance, ref rank) re-ranking below makes irrelevant.
+        # One batched descent for every query; entry i is exactly what
+        # forest.query(signature i, k) returns, so the candidates re-ranked
+        # below by (distance, ref rank) are lookup()'s candidates.
         candidates_per_query = forest.multi_query(
             [None if signature is None else _raw(signature) for signature in signatures],
             k,

@@ -52,6 +52,7 @@ SIGINT/SIGTERM to that teardown for the CLI's foreground mode.
 from __future__ import annotations
 
 import builtins
+import io
 import json
 import multiprocessing
 import queue
@@ -81,6 +82,11 @@ SERVER_NAME = "repro-serve/1"
 
 #: The serving concurrency models ``DiscoveryServer(backend=...)`` accepts.
 SERVING_BACKENDS = ("thread", "process")
+
+#: Largest ``POST /query`` body accepted (bytes).  A request declaring more
+#: is answered 413 without its body being read.  Inline 1000-row targets
+#: take 50-100 KB, so only a broken or hostile client comes near this.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 
 def index_status(engine: D3L, sessions: List[DiscoverySession]) -> Dict[str, object]:
@@ -264,6 +270,9 @@ class _DiscoveryRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = SERVER_NAME
+    # TCP_NODELAY on every accepted connection: a reply must not wait for
+    # the client to acknowledge an earlier segment (see _respond).
+    disable_nagle_algorithm = True
     # Idle keep-alive connections drop after this many seconds, bounding how
     # long a forgotten client can stall the shutdown join.
     timeout = 5
@@ -300,6 +309,12 @@ class _DiscoveryRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             self._respond(400, {"error": "request body required"})
             return
+        if length > MAX_REQUEST_BYTES:
+            # The body stays unread, so the connection cannot carry another
+            # request: answer and close it.
+            message = f"request body of {length} bytes exceeds {MAX_REQUEST_BYTES} bytes"
+            self._respond(413, {"error": message}, close=True)
+            return
         body = self.rfile.read(length)
         try:
             payload = json.loads(body)
@@ -321,14 +336,27 @@ class _DiscoveryRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # response plumbing
     # ------------------------------------------------------------------ #
-    def _respond(self, status: int, payload: Dict[str, object]) -> None:
+    def _respond(
+        self, status: int, payload: Dict[str, object], close: bool = False
+    ) -> None:
         body = json.dumps(payload).encode("utf-8")
+        # The status line and headers are captured and sent together with
+        # the body in one write.  Sent apart, the body is a second small
+        # segment that Nagle's algorithm holds until the client acknowledges
+        # the first, and clients delay that ACK by up to 40 ms.
+        socket_file, self.wfile = self.wfile, io.BytesIO()
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(body)
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = socket_file
+        try:
+            socket_file.write(head + body)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # client went away mid-response; nothing to clean up
 

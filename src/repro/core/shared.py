@@ -443,7 +443,8 @@ class SharedIndexSnapshot:
         indexes = restore_indexes_from_sections(
             _reassemble_sections(manifest["meta"], arrays)
         )
-        indexes.version = manifest["version"]
+        # The journal covers nothing before the snapshot's version.
+        indexes.version = indexes._journal_floor = manifest["version"]
         # The mapping must outlive every array view handed to the index.
         indexes._shared_backing = keepalive
         _ATTACHED[key] = indexes
@@ -513,6 +514,7 @@ def apply_index_delta(indexes: "D3LIndexes", delta: IndexDelta) -> None:
     target_version, ops = delta
     if indexes.version >= target_version:
         return
+    journal = indexes.journal_state()
     # Ops touch distinct tables (one net op per table), so all removals can
     # run first as one batch — one forest tombstone pass and one matrix
     # compaction per evidence type instead of per-table replay (the PR-8
@@ -523,12 +525,10 @@ def apply_index_delta(indexes: "D3LIndexes", delta: IndexDelta) -> None:
     for kind, name, profile, signatures in ops:
         if kind != "remove":
             indexes.add_profiled_table(profile, signatures)
-    # Pin the worker's counter to the host's: the number of *net* ops can be
-    # smaller than the host's bump count, and a stale journal under a jumped
-    # counter would misreport mutated_tables_since — clear it so stale bases
-    # conservatively fall back to full invalidation.
-    indexes.version = target_version
-    indexes._mutation_log.clear()
+    # Pin the worker's counter to the host's (the number of *net* ops can
+    # differ from the host's bump count) and journal every op's table at the
+    # target version, so worker-side caches keep evicting per table.
+    indexes.rebase_journal(journal, target_version, [name for _, name, _, _ in ops])
 
 
 # --------------------------------------------------------------------------- #

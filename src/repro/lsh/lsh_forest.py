@@ -16,9 +16,9 @@ prescribes, vectorized with NumPy:
   with a parallel item list, kept in lexicographic order;
 * the lexicographic order is materialised once per (re)build as a 1D array of
   big-endian byte *rank keys* (a NumPy void dtype of ``key_length * 8``
-  bytes), so one ``query_prefix`` is two ``np.searchsorted`` calls —
-  O(log n) — instead of the seed implementation's O(n) rebuild of a Python
-  key list on every call;
+  bytes), so a prefix range is two O(log n) ``np.searchsorted`` lookups
+  instead of the seed implementation's O(n) rebuild of a Python key list on
+  every call;
 * inserts are buffered and merged with one stable vectorized sort on the
   next query (amortised O(log n) per insert for the usual build-then-query
   workload);
@@ -27,18 +27,22 @@ prescribes, vectorized with NumPy:
   remove costs O(log n) amortised and queries never scan dead entries
   outside a compaction cycle.
 
-:meth:`LSHForest.query` additionally tracks, per tree, the row range matched
-at the previous (longer) prefix level.  Because the range matched by a
-shorter prefix always contains the longer-prefix range, each level only
-enumerates the *newly* exposed rows; a full descent touches every candidate
-row at most once instead of once per level.
+One descent serves :meth:`LSHForest.query`, :meth:`~LSHForest.query_all`
+and :meth:`~LSHForest.multi_query`.  Per tree, one ``searchsorted`` pair
+finds the row range of every prefix length of every query at once.  Because
+the range of a shorter prefix always contains the longer-prefix range, the
+rows a (prefix length, tree) step newly exposes are the difference of two
+nested ranges; their counts come out as one array, and Python walks only the
+non-empty steps of each query until it holds ``k`` distinct items — so a
+batch returns, element for element, what one-query descents return.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +63,11 @@ _KEY_MAX = np.uint64(np.iinfo(np.uint64).max)
 #: A tree compacts when it holds more than this many tombstones *and* they
 #: outnumber the live rows.
 _MIN_TOMBSTONES_BEFORE_COMPACTION = 16
+
+#: ``multi_query`` descends this many queries at a time, so the prefix
+#: bounds it materialises (``block * key_length**2`` keys per tree) stay
+#: small however many queries a batch holds.
+_DESCENT_BLOCK = 64
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +170,11 @@ class _PrefixTree:
         return np.ascontiguousarray(keys.astype(">u8")).view(self._rank_dtype).ravel()
 
     def _rebuild(self) -> None:
-        """Merge pending inserts, drop tombstones, restore sorted order."""
+        """Merge pending inserts, drop tombstones, restore sorted order.
+
+        The pending buffer empties only once the new state is in place:
+        readers skip the flush lock when it is empty (:meth:`_ensure_flushed`).
+        """
         keep = np.flatnonzero(self._alive)
         keys = self._keys[keep]
         items = [self._items[row] for row in keep]
@@ -169,7 +182,6 @@ class _PrefixTree:
             pending_keys = np.vstack([key for key, _ in self._pending])
             keys = np.vstack([keys, pending_keys]) if keys.size else pending_keys
             items.extend(item for _, item in self._pending)
-            self._pending = []
         if not items:
             self._keys = np.empty((0, self.key_length), dtype=np.uint64)
             self._ranks = np.empty(0, dtype=self._rank_dtype)
@@ -177,6 +189,7 @@ class _PrefixTree:
             self._alive = np.empty(0, dtype=bool)
             self._dead = 0
             self._row_of = {}
+            self._pending = []
             return
         ranks = self._rank_keys(keys)
         order = np.argsort(ranks, kind="stable")
@@ -205,6 +218,7 @@ class _PrefixTree:
         self._alive = np.ones(len(self._items), dtype=bool)
         self._dead = 0
         self._row_of = {item: row for row, item in enumerate(self._items)}
+        self._pending = []
 
     def _ensure_flushed(self) -> None:
         if self._pending:
@@ -270,24 +284,23 @@ class _PrefixTree:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def prefix_ranges(self, key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Row ranges for *every* prefix length in two batched searches.
+    def prefix_ranges(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row ranges of every prefix length of many query keys.
 
-        Entry ``p - 1`` of each returned array is the ``[low, high)`` range
-        of prefix length ``p``; one ``searchsorted`` over all lower bounds
-        and one over all upper bounds replace ``2 * key_length`` scalar
-        searches per tree per query.
+        ``keys`` is ``(queries, key_length)``; entry ``[q, p - 1]`` of each
+        returned ``(queries, key_length)`` array bounds the ``[low, high)``
+        rows matching the length-``p`` prefix of query ``q``.  One
+        ``searchsorted`` over all lower bounds and one over all upper bounds
+        replace ``2 * key_length`` scalar searches per query.
         """
         self._ensure_flushed()
-        if not self._items:
-            zeros = np.zeros(self.key_length, dtype=np.intp)
-            return (zeros, zeros)
         mask = _prefix_mask(self.key_length)
-        lows = np.where(mask, key[np.newaxis, :], np.uint64(0))
-        highs = np.where(mask, key[np.newaxis, :], _KEY_MAX)
-        low = np.searchsorted(self._ranks, self._rank_keys(lows), side="left")
-        high = np.searchsorted(self._ranks, self._rank_keys(highs), side="right")
-        return (low, high)
+        lows = np.where(mask, keys[:, np.newaxis, :], np.uint64(0))
+        highs = np.where(mask, keys[:, np.newaxis, :], _KEY_MAX)
+        flat = (-1, self.key_length)
+        low = np.searchsorted(self._ranks, self._rank_keys(lows.reshape(flat)), side="left")
+        high = np.searchsorted(self._ranks, self._rank_keys(highs.reshape(flat)), side="right")
+        return low.reshape(keys.shape), high.reshape(keys.shape)
 
     def items_between(self, low: int, high: int) -> List[Hashable]:
         """Live items in rows ``[low, high)``, in key order."""
@@ -297,14 +310,6 @@ class _PrefixTree:
             rows = np.flatnonzero(self._alive[low:high])
             return [self._items[low + int(row)] for row in rows]
         return self._items[low:high]
-
-    def query_prefix(self, key: np.ndarray, prefix_length: int) -> List[Hashable]:
-        """All items whose key agrees with ``key`` on the first ``prefix_length`` positions."""
-        if prefix_length <= 0:
-            return []
-        prefix_length = min(prefix_length, self.key_length)
-        lows, highs = self.prefix_ranges(np.asarray(key, dtype=np.uint64))
-        return self.items_between(int(lows[prefix_length - 1]), int(highs[prefix_length - 1]))
 
     def estimated_bytes(self) -> int:
         """Approximate footprint: keys, rank keys, and item references."""
@@ -394,121 +399,85 @@ class LSHForest:
         """Return up to ``k`` candidate keys, most-specific prefixes first.
 
         Candidates are collected by descending prefix length; within a prefix
-        length the order is arbitrary but deterministic.  The descent stops
-        as soon as ``k`` candidates have been collected — mid-level, without
-        scanning the remaining trees.  The caller is expected to re-rank
-        candidates by estimated distance (as D3L does).
+        length tree by tree, each tree's rows in key order.  The descent
+        stops as soon as ``k`` candidates have been collected — mid-level,
+        without scanning the remaining trees.  The caller is expected to
+        re-rank candidates by estimated distance (as D3L does).
         """
-        if k <= 0:
-            return []
-        signature = np.asarray(signature)
-        tree_keys = self._tree_keys(signature)
-        ranges = [
-            tree.prefix_ranges(tree_keys[tree_index])
-            for tree_index, tree in enumerate(self._trees)
-        ]
-        seen: Set[Hashable] = set()
-        results: List[Hashable] = []
-        # Row range each tree matched at the previous (longer) prefix level;
-        # shorter prefixes only widen it, so only the new rows are enumerated.
-        previous: List[Optional[Tuple[int, int]]] = [None] * self.num_trees
-        for prefix_length in range(self.key_length, 0, -1):
-            for tree_index, tree in enumerate(self._trees):
-                lows, highs = ranges[tree_index]
-                low = int(lows[prefix_length - 1])
-                high = int(highs[prefix_length - 1])
-                last = previous[tree_index]
-                if last is None:
-                    fresh = tree.items_between(low, high)
-                elif (low, high) == last:
-                    continue
-                else:
-                    fresh = tree.items_between(low, last[0])
-                    fresh += tree.items_between(last[1], high)
-                previous[tree_index] = (low, high)
-                for item in fresh:
-                    if item == exclude or item in seen:
-                        continue
-                    seen.add(item)
-                    results.append(item)
-                if len(results) >= k:
-                    return results[:k]
-        return results
+        return self._descend([signature], k, exclude)[0]
 
     def query_all(self, signature: np.ndarray, exclude: Optional[Hashable] = None) -> List[Hashable]:
         """Return every key sharing at least the length-1 prefix in some tree."""
         return self.query(signature, k=len(self._signatures) + 1, exclude=exclude)
 
     def multi_query(
-        self, signatures: List[Optional[np.ndarray]], k: int
+        self, signatures: Sequence[Optional[np.ndarray]], k: int
     ) -> List[List[Hashable]]:
-        """Candidate keys of many queries through shared per-tree passes.
+        """:meth:`query` for many signatures through one batched descent.
 
-        The candidate *set* of a full descent is the union, over the trees,
-        of the rows matching the length-1 prefix (every longer prefix matches
-        a nested subrange), so one batched ``searchsorted`` pair per tree
-        covers every query at once — instead of one descent per query — and
-        only the matched rows are ever enumerated, as in the scalar descent.
-        The descent's item order and its stop-at-k truncation only matter
-        when a query matches more than ``k`` distinct items, so exactly
-        those queries fall back to the scalar :meth:`query`; every other
-        entry contains the same candidates as ``query(signature, k)`` in
-        unspecified order.  Callers that re-rank candidates (as all D3L
-        lookups do) therefore observe identical answers.
-
+        Entry ``i`` equals ``query(signatures[i], k)`` element for element;
         ``None`` signatures yield empty candidate lists.
         """
+        return [
+            found
+            for start in range(0, len(signatures), _DESCENT_BLOCK)
+            for found in self._descend(signatures[start : start + _DESCENT_BLOCK], k)
+        ]
+
+    def _descend(
+        self,
+        signatures: Sequence[Optional[np.ndarray]],
+        k: int,
+        exclude: Optional[Hashable] = None,
+    ) -> List[List[Hashable]]:
+        """The descent behind every query method (see the module docstring)."""
         results: List[List[Hashable]] = [[] for _ in signatures]
-        if k <= 0:
-            return results
         populated = [
             index for index, signature in enumerate(signatures) if signature is not None
         ]
-        if not populated or not self._signatures:
+        if k <= 0 or not populated or not self._signatures:
             return results
-        # Row t holds each query's first key position of tree t (the trees key
-        # on consecutive signature slices, so tree t starts at t*key_length).
-        first_keys = np.array(
-            [
-                [
-                    np.asarray(signatures[index])[tree_index * self.key_length]
-                    for index in populated
-                ]
-                for tree_index in range(self.num_trees)
-            ],
-            dtype=np.uint64,
-        )
-        matched_per_query: List[List[Hashable]] = [[] for _ in populated]
-        for tree_index, tree in enumerate(self._trees):
-            tree._ensure_flushed()
-            if not tree._items:
-                continue
-            # The length-1 prefix range of every query in two searches: the
-            # lower bound pads the first signature position with zeros, the
-            # upper bound with the all-ones key-suffix sentinel.
-            lows = np.zeros((len(populated), tree.key_length), dtype=np.uint64)
-            lows[:, 0] = first_keys[tree_index]
-            highs = np.full((len(populated), tree.key_length), _KEY_MAX, dtype=np.uint64)
-            highs[:, 0] = first_keys[tree_index]
-            low = np.searchsorted(tree._ranks, tree._rank_keys(lows), side="left")
-            high = np.searchsorted(tree._ranks, tree._rank_keys(highs), side="right")
-            for position in range(len(populated)):
-                matched_per_query[position].extend(
-                    tree.items_between(int(low[position]), int(high[position]))
-                )
-        for position, index in enumerate(populated):
-            matched = matched_per_query[position]
-            if not matched:
-                continue
-            # First-seen dedup keeps the enumeration deterministic (tree
-            # order, then row order) without per-item hashing tricks.
-            unique = list(dict.fromkeys(matched))
-            if len(unique) > k:
-                # More matches than the answer size: the scalar descent's
-                # most-specific-prefix-first truncation decides which k win.
-                results[index] = self.query(signatures[index], k)
-            else:
-                results[index] = unique
+        used = self.num_trees * self.key_length
+        # (queries, trees, key_length): tree t keys on signature slice t.
+        keys = np.array(
+            [np.asarray(signatures[index])[:used] for index in populated], dtype=np.uint64
+        ).reshape(len(populated), self.num_trees, self.key_length)
+        ranges = [
+            tree.prefix_ranges(keys[:, tree_index])
+            for tree_index, tree in enumerate(self._trees)
+        ]
+        # (queries, trees, key_length); column p - 1 holds prefix length p.
+        low = np.stack([tree_low for tree_low, _ in ranges], axis=1)
+        high = np.stack([tree_high for _, tree_high in ranges], axis=1)
+        # Each step's rows are its range minus the range one level deeper,
+        # which it contains (empty below the full key length).
+        inner_low = np.concatenate((low[:, :, 1:], low[:, :, -1:]), axis=2)
+        inner_high = np.concatenate((high[:, :, 1:], low[:, :, -1:]), axis=2)
+        fresh = (high - low) - (inner_high - inner_low)
+        # Non-empty steps in descent order: query, then longest prefix first,
+        # then tree.
+        query_of, level, tree_of = np.nonzero(fresh[:, :, ::-1].transpose(0, 2, 1))
+        column = self.key_length - 1 - level
+        at = (query_of, tree_of, column)
+        steps = np.stack(
+            (tree_of, low[at], inner_low[at], inner_high[at], high[at]), axis=1
+        ).tolist()
+        ends = np.searchsorted(query_of, np.arange(1, len(populated) + 1)).tolist()
+        start = 0
+        for index, end in zip(populated, ends):
+            # An insertion-ordered dict dedups a step's items in one C-level
+            # pass, hashing each item once.
+            found: Dict[Hashable, None] = {}
+            for tree_index, step_low, skip_low, skip_high, step_high in steps[start:end]:
+                tree = self._trees[tree_index]
+                found.update(dict.fromkeys(tree.items_between(step_low, skip_low)))
+                found.update(dict.fromkeys(tree.items_between(skip_high, step_high)))
+                if exclude is not None:
+                    found.pop(exclude, None)
+                if len(found) >= k:
+                    break
+            results[index] = list(islice(found, k))
+            start = end
         return results
 
     def keys(self) -> List[Hashable]:

@@ -8,6 +8,7 @@ segments and child processes around every test).
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -18,7 +19,13 @@ from repro.core.api import (
     QueryResponse,
     query_request_to_wire,
 )
-from repro.core.server import SERVER_NAME, DiscoveryServer, index_status
+from repro.core.server import (
+    MAX_REQUEST_BYTES,
+    SERVER_NAME,
+    DiscoveryServer,
+    _DiscoveryRequestHandler,
+    index_status,
+)
 
 
 @pytest.fixture()
@@ -204,6 +211,84 @@ class TestErrorHandling:
         assert _request(server, "GET", "/nope")[0] == 404
         assert _request(server, "POST", "/nope", {})[0] == 404
 
+    def test_oversized_body_is_413_and_the_server_keeps_serving(
+        self, server, indexed_d3l, small_synthetic_benchmark
+    ):
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            # Only the headers go out: the server must answer without
+            # waiting for a body it will never read.
+            connection.putrequest("POST", "/query")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_REQUEST_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+        finally:
+            connection.close()
+        assert str(MAX_REQUEST_BYTES) in payload["error"]
+        request = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=5)
+        status, payload = _request(server, "POST", "/query", query_request_to_wire(request))
+        assert status == 200
+        assert payload == _oracle_payload(indexed_d3l, request)
+
+
+class _RecordingFile:
+    """Wraps a handler's socket file and records every write to it."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def flush(self):
+        self._inner.flush()
+
+    def close(self):
+        self._inner.close()
+
+    @property
+    def closed(self):
+        return self._inner.closed
+
+
+class TestResponsePath:
+    def test_nagle_is_off_and_each_reply_is_one_write(
+        self, indexed_d3l, small_synthetic_benchmark, monkeypatch
+    ):
+        nodelay, writes = [], []
+        setup = _DiscoveryRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            handler.wfile = _RecordingFile(handler.wfile, writes)
+
+        monkeypatch.setattr(_DiscoveryRequestHandler, "setup", recording_setup)
+        request = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=5)
+        invalid = query_request_to_wire(request)
+        invalid["evidence"] = ["bogus"]
+        with DiscoveryServer(indexed_d3l, port=0, workers=1) as server:
+            ok = _request(server, "POST", "/query", query_request_to_wire(request))
+            bad = _request(server, "POST", "/query", invalid)
+        assert [ok[0], bad[0]] == [200, 400]
+        assert len(nodelay) == 2 and all(nodelay)
+        # One write per reply, holding the status line, the headers and the
+        # whole body.
+        assert len(writes) == 2
+        for data, (status, payload) in zip(writes, (ok, bad)):
+            head, _, body = data.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert json.loads(body) == payload
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_final(self, indexed_d3l):
@@ -364,6 +449,75 @@ class TestProcessBackendEquivalence:
         # Small mutations refresh live workers via journal deltas — the
         # worker fleet must not have been respawned.
         assert sorted(process_server.worker_pids()) == pids_before
+
+
+class TestWorkerCacheAcrossWrites:
+    """Process workers keep their session caches across journal deltas and
+    evict only the entries of the tables a write touched."""
+
+    @staticmethod
+    def _warm(server, request):
+        # Sequential submits check idle workers out first-in first-out, so
+        # one submit per worker leaves the target cached in every worker.
+        for _ in range(server.worker_count):
+            server.submit(request)
+
+    @staticmethod
+    def _served_and_counted(server, request):
+        before = server.status_payload()["cache"]
+        payload = server.submit(request)
+        after = server.status_payload()["cache"]
+        counts = {key: after[key] - before[key] for key in ("hits", "misses")}
+        assert json.dumps(payload) == json.dumps(_oracle_payload(server.engine, request))
+        return counts
+
+    def test_write_to_another_table_keeps_the_cached_target(
+        self, process_server, small_synthetic_benchmark
+    ):
+        tables = small_synthetic_benchmark.lake.tables
+        request = QueryRequest(target=tables[0], k=5)
+        self._warm(process_server, request)
+        process_server.engine.index_table(tables[10].with_name("unrelated_extra"))
+        assert self._served_and_counted(process_server, request) == {"hits": 1, "misses": 0}
+        # A second write re-ships the first table in the delta from the
+        # snapshot; the target still stays cached.
+        process_server.engine.remove_table(tables[5].name)
+        assert self._served_and_counted(process_server, request) == {"hits": 1, "misses": 0}
+
+    def test_write_to_the_target_evicts_its_entry(
+        self, process_server, small_synthetic_benchmark
+    ):
+        target = small_synthetic_benchmark.lake.tables[0]
+        request = QueryRequest(target=target, k=5)
+        self._warm(process_server, request)
+        process_server.engine.index_table(target)
+        assert self._served_and_counted(process_server, request) == {"hits": 0, "misses": 1}
+
+    def test_bases_older_than_the_journal_are_not_reconstructible(
+        self, process_server, small_synthetic_benchmark
+    ):
+        from repro.core.shared import (
+            SharedIndexSnapshot,
+            apply_index_delta,
+            build_index_delta,
+        )
+
+        tables = small_synthetic_benchmark.lake.tables
+        engine = process_server.engine
+        snapshot = SharedIndexSnapshot.create(engine.indexes)
+        try:
+            replica = SharedIndexSnapshot.attach(snapshot.descriptor)
+            base = replica.version
+            assert replica.mutated_tables_since(base) == set()
+            assert replica.mutated_tables_since(base - 1) is None
+            engine.index_table(tables[10].with_name("journal_extra"))
+            engine.remove_table(tables[1].name)
+            apply_index_delta(replica, build_index_delta(engine.indexes, base))
+            assert replica.version == engine.indexes.version
+            assert replica.mutated_tables_since(base) == {"journal_extra", tables[1].name}
+            assert replica.mutated_tables_since(base - 1) is None
+        finally:
+            snapshot.close()
 
 
 class TestChurnUnderLoad:

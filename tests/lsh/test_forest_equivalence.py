@@ -64,6 +64,13 @@ def _paired_forests(lake):
     return vectorized, scalar
 
 
+def _assert_batch_matches_scalar(vectorized, scalar, signatures, k):
+    """``multi_query`` entry ``i`` equals the scalar descent of signature
+    ``i`` element for element (``None`` signatures: empty lists)."""
+    expected = [[] if signature is None else scalar.query(signature, k) for signature in signatures]
+    assert vectorized.multi_query(signatures, k) == expected
+
+
 class TestSignatureEquivalence:
     def test_hash_tokens_matches_scalar_reference(self):
         rng = random.Random(3)
@@ -99,6 +106,9 @@ class TestForestEquivalence:
                 assert vectorized.query(signature.hashvalues, k) == scalar.query(
                     signature.hashvalues, k
                 ), f"divergence at key={key} k={k}"
+        batch = [signature.hashvalues for _, signature in lake[::5]]
+        for k in (1, 3, 10, 25, 200):
+            _assert_batch_matches_scalar(vectorized, scalar, batch, k)
 
     def test_candidates_identical_with_exclude(self, lake):
         vectorized, scalar = _paired_forests(lake)
@@ -113,6 +123,9 @@ class TestForestEquivalence:
         assert vectorized.query_all(signature.hashvalues) == scalar.query_all(
             signature.hashvalues
         )
+        assert vectorized.multi_query([signature.hashvalues], len(lake) + 1) == [
+            scalar.query_all(signature.hashvalues)
+        ]
 
     def test_rankings_identical(self, lake):
         """(key, distance) rankings — the contract the discovery engine needs."""
@@ -138,6 +151,8 @@ class TestForestEquivalence:
             assert vectorized.query(signature.hashvalues, 15) == scalar.query(
                 signature.hashvalues, 15
             )
+        batch = [signature.hashvalues for _, signature in lake]
+        _assert_batch_matches_scalar(vectorized, scalar, batch, 15)
 
     def test_equivalence_under_compaction(self, factory):
         """Enough removals to trigger tombstone compaction, then re-inserts."""
@@ -153,10 +168,81 @@ class TestForestEquivalence:
             vectorized.insert(key, signature.hashvalues)
             scalar.insert(key, signature.hashvalues)
         assert len(vectorized) == len(scalar)
+        # The batch is the first query after the re-inserts: it merges the
+        # pending buffer itself.
+        batch = [signature.hashvalues for _, signature in lake[::4]]
+        _assert_batch_matches_scalar(vectorized, scalar, batch, 12)
         for key, signature in lake[::4]:
             assert vectorized.query(signature.hashvalues, 12) == scalar.query(
                 signature.hashvalues, 12
             )
+
+    def test_batch_over_tombstones_and_pending_inserts(self, lake):
+        vectorized, scalar = _paired_forests(lake[:40])
+        batch = [signature.hashvalues for _, signature in lake[::3]]
+        _assert_batch_matches_scalar(vectorized, scalar, batch, 5)
+        # Tombstones below the compaction threshold: dead rows stay in place.
+        for key, _ in lake[:6]:
+            vectorized.remove(key)
+            scalar.remove(key)
+        assert all(tree._dead for tree in vectorized._trees)
+        for k in (1, 7, 30):
+            _assert_batch_matches_scalar(vectorized, scalar, batch, k)
+        # Unmerged inserts: the batch merges them before descending.
+        for key, signature in lake[40:]:
+            vectorized.insert(key, signature.hashvalues)
+            scalar.insert(key, signature.hashvalues)
+        assert all(tree._pending for tree in vectorized._trees)
+        for k in (1, 7, 30):
+            _assert_batch_matches_scalar(vectorized, scalar, batch, k)
+
+    def test_bit_signatures_match_scalar(self):
+        """Random-projection bits (the embedding evidence): two key values per
+        position, so wide prefix ranges and many non-empty steps."""
+        rng = np.random.default_rng(7)
+        projections = RandomProjectionFactory(num_bits=NUM_HASHES, seed=3)
+        lake = [
+            (f"vec{index}", projections.from_vector(rng.standard_normal(16)).bits)
+            for index in range(80)
+        ]
+        vectorized = LSHForest(num_hashes=NUM_HASHES, num_trees=NUM_TREES)
+        scalar = ScalarLSHForest(num_hashes=NUM_HASHES, num_trees=NUM_TREES)
+        for key, bits in lake:
+            vectorized.insert(key, bits)
+            scalar.insert(key, bits)
+        batch = [bits for _, bits in lake[::4]]
+        for k in (1, 10, 40, 100):
+            _assert_batch_matches_scalar(vectorized, scalar, batch, k)
+            for _, bits in lake[::9]:
+                assert vectorized.query(bits, k) == scalar.query(bits, k)
+
+    def test_mixed_batch_with_none_signatures(self, lake):
+        vectorized, scalar = _paired_forests(lake)
+        batch = [None, lake[3][1].hashvalues, None, None, lake[8][1].hashvalues, None]
+        for k in (1, 10, 100):
+            _assert_batch_matches_scalar(vectorized, scalar, batch, k)
+        assert vectorized.multi_query([None, None], 5) == [[], []]
+        assert vectorized.multi_query([], 5) == []
+
+    def test_non_positive_k_yields_empty_lists(self, lake):
+        vectorized, scalar = _paired_forests(lake)
+        batch = [lake[0][1].hashvalues, None, lake[1][1].hashvalues]
+        for k in (0, -3):
+            assert vectorized.multi_query(batch, k) == [[], [], []]
+            assert vectorized.query(batch[0], k) == scalar.query(batch[0], k) == []
+
+    def test_empty_forest_yields_empty_lists(self, lake):
+        vectorized = LSHForest(num_hashes=NUM_HASHES, num_trees=NUM_TREES)
+        signature = lake[0][1].hashvalues
+        assert vectorized.multi_query([signature, None], 10) == [[], []]
+        assert vectorized.query(signature, 10) == []
+        assert vectorized.query_all(signature) == []
+        # Emptied by removals: every row is dead or compacted away.
+        vectorized, scalar = _paired_forests(lake[:5])
+        for key, _ in lake[:5]:
+            vectorized.remove(key)
+            scalar.remove(key)
+        _assert_batch_matches_scalar(vectorized, scalar, [signature, None], 10)
 
 
 class TestBatchDistanceEquivalence:
@@ -257,6 +343,8 @@ class TestInsertRemoveProperties:
             stored = vectorized.signature(key)
             assert np.array_equal(stored, scalar.signature(key))
             assert vectorized.query(stored, 8) == scalar.query(stored, 8)
+        batch = [vectorized.signature(key) for key in vectorized.keys()]
+        _assert_batch_matches_scalar(vectorized, scalar, batch, 8)
 
     @given(st.integers(min_value=20, max_value=48), st.integers(min_value=0, max_value=9999))
     @settings(max_examples=25, deadline=None)

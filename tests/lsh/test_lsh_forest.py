@@ -1,5 +1,7 @@
 """Tests for the LSH Forest top-k index."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -164,12 +166,9 @@ class TestTombstoneCompaction:
         forest.remove("item2")
         # Tombstoned, not yet compacted: queries must not surface the row.
         assert any(tree._dead for tree in forest._trees)
-        assert set(forest.query_all(query.hashvalues)) == {"item0", "item1", "item3"}
-        assert set(forest.multi_query([query.hashvalues], k=10)[0]) == {
-            "item0",
-            "item1",
-            "item3",
-        }
+        survivors = forest.query_all(query.hashvalues)
+        assert set(survivors) == {"item0", "item1", "item3"}
+        assert forest.multi_query([query.hashvalues], k=10)[0] == survivors
 
     def test_compact_to_empty(self, forest, factory):
         for i in range(5):
@@ -227,3 +226,45 @@ class TestTombstoneCompaction:
         for tree, fresh_tree in zip(state["trees"], fresh_state["trees"]):
             assert np.array_equal(tree["keys"], fresh_tree["keys"])
             assert tree["items"] == fresh_tree["items"]
+
+
+class TestConcurrentFlush:
+    def test_reader_waits_for_a_merge_in_progress(self, factory):
+        # The first query after an insert merges the pending buffer.  A
+        # second reader arriving mid-merge must wait for the merged tree,
+        # not read the old rows and miss the insert.  One tree, so nothing
+        # else makes the second reader wait.
+        forest = LSHForest(num_hashes=16, num_trees=1)
+        for i in range(6):
+            forest.insert(f"item{i}", factory.from_tokens(_tokens(f"t{i}", 10)).hashvalues)
+        signature = factory.from_tokens(_tokens("new", 10)).hashvalues
+        forest.query(signature, k=1)  # merge the initial inserts
+        forest.insert("new", signature)
+        tree = forest._trees[0]
+        merging, release = threading.Event(), threading.Event()
+        rank_keys = tree._rank_keys
+
+        def slow_rank_keys(keys):
+            merging.set()
+            release.wait(10)
+            return rank_keys(keys)
+
+        tree._rank_keys = slow_rank_keys
+        answers = {}
+
+        def ask(name):
+            answers[name] = forest.query(signature, k=3)
+
+        first = threading.Thread(target=ask, args=("first",))
+        second = threading.Thread(target=ask, args=("second",))
+        first.start()
+        try:
+            assert merging.wait(10)
+            second.start()
+            second.join(0.5)
+        finally:
+            release.set()
+        first.join(10)
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert answers["first"][0] == answers["second"][0] == "new"
