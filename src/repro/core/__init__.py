@@ -41,6 +41,7 @@ from repro.core.joins import (
     JoinEdge,
     JoinPath,
     JoinPathSearch,
+    JoinPathTree,
     SAJoinGraph,
     find_join_paths,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "JoinEdge",
     "JoinPath",
     "JoinPathSearch",
+    "JoinPathTree",
     "JoinPathsBlock",
     "QueryRequest",
     "QueryResponse",

@@ -293,9 +293,16 @@ class JoinPathsBlock:
     ``joined_tables`` the (sorted) tables reached beyond the starting
     tables, and ``truncated`` records whether the ``max_join_paths`` cap
     stopped the enumeration before every start table was fully explored.
+
+    In a response the engine built, ``paths`` is the walk's
+    :class:`~repro.core.joins.JoinPathTree`, a read-only sequence that
+    builds each :class:`~repro.core.joins.JoinPath` on access, so the
+    wire's :meth:`QueryResponse.truncated` copy builds only the paths it
+    keeps; ``list()`` copies it.  Responses read back with
+    :meth:`QueryResponse.from_dict` hold a plain list, which compares equal.
     """
 
-    paths: List[JoinPath]
+    paths: Sequence[JoinPath]
     joined_tables: List[str]
     truncated: bool = False
 
@@ -759,7 +766,7 @@ class QueryExecution:
                     self.request, self.legacy.base, self.weights_used
                 )
                 response.join_paths = JoinPathsBlock(
-                    paths=list(self.legacy.join_paths),
+                    paths=self.legacy.join_paths,
                     joined_tables=sorted(self.legacy.joined_tables),
                     truncated=self.legacy.truncated,
                 )

@@ -29,7 +29,7 @@ from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
 from repro.core.execution import IndexReadWriteLock
 from repro.core.indexes import D3LIndexes
-from repro.core.joins import JoinPath, SAJoinGraph, find_join_paths, tables_reached
+from repro.core.joins import JoinPathTree, SAJoinGraph, find_join_paths
 from repro.core.profiles import AttributeMatch, AttributeProfile, TableProfile
 from repro.core.weights import EvidenceWeights
 from repro.lake.datalake import AttributeRef, DataLake
@@ -149,23 +149,25 @@ class AttributeSearchResult:
 class JoinAugmentedResult:
     """A query result extended with SA-join paths (``D3L+J``).
 
+    ``join_paths`` is Algorithm 3's :class:`~repro.core.joins.JoinPathTree`:
+    a read-only sequence that builds each :class:`~repro.core.joins.JoinPath`
+    on access (``list()`` copies it).
     ``truncated`` is True when the ``max_join_paths`` cap stopped Algorithm 3
     before every top-k start table was fully explored, so callers can tell a
     complete path enumeration from a capped one.
     """
 
     base: QueryResult
-    join_paths: List[JoinPath]
+    join_paths: JoinPathTree
     joined_tables: Set[str]
     truncated: bool = False
 
     def tables_for(self, start: str) -> Set[str]:
-        """Tables reachable through join paths starting at ``start``."""
-        reached: Set[str] = set()
-        for path in self.join_paths:
-            if path.start == start:
-                reached.update(path.reached)
-        return reached
+        """Tables reachable through join paths starting at ``start``.
+
+        Answered from the tree's columns in one pass, building no path.
+        """
+        return self.join_paths.reached_from(start)
 
 
 class D3L:
@@ -598,8 +600,8 @@ class D3L:
         )
         return JoinAugmentedResult(
             base=base,
-            join_paths=list(search.paths),
-            joined_tables=tables_reached(search.paths),
+            join_paths=search.paths,
+            joined_tables=search.paths.reached(),
             truncated=search.truncated,
         )
 

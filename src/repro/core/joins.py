@@ -21,8 +21,9 @@ the equivalence oracle the batched build is verified against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -70,20 +71,119 @@ class JoinPath:
         return len(self.tables)
 
 
+class JoinPathTree(Sequence[JoinPath]):
+    """Algorithm 3's paths as a prefix tree, read as a sequence of paths.
+
+    Every path the depth-first walk emits extends an earlier one by one hop,
+    so path ``i`` is three column entries: its parent — the index of the
+    path it extends, or its start table when it is a one-hop path — the
+    table it ends at, and the edge of its last hop.  :class:`JoinPath`
+    objects are built only when a path is read.  A dense lake's walk emits
+    thousands of paths per request while the wire keeps 20, and holding
+    each as a ``JoinPath`` plus two lists made the survivors trigger full
+    garbage collections; the columns hold no per-path container at all.
+
+    The tree is a read-only sequence in walk order: ``len``, integer and
+    negative indexing and iteration work, slicing returns a list, it
+    compares equal to a list of the same paths (in either direction), and
+    it pickles.  ``list(tree)`` copies it into plain paths.
+    """
+
+    __slots__ = ("_parents", "_tables", "_edges")
+
+    def __init__(
+        self,
+        parents: List[Union[int, str]],
+        tables: List[str],
+        edges: List[JoinEdge],
+    ) -> None:
+        self._parents = parents
+        self._tables = tables
+        self._edges = edges
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._path(position) for position in range(len(self))[index]]
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("join path index out of range")
+        return self._path(position)
+
+    def __iter__(self) -> Iterator[JoinPath]:
+        for position in range(len(self)):
+            yield self._path(position)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (JoinPathTree, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable-sequence equality
+
+    def __repr__(self) -> str:
+        return f"JoinPathTree({list(self)!r})"
+
+    def _path(self, position: int) -> JoinPath:
+        tables: List[str] = []
+        edges: List[JoinEdge] = []
+        parent: Union[int, str] = position
+        while not isinstance(parent, str):
+            tables.append(self._tables[parent])
+            edges.append(self._edges[parent])
+            parent = self._parents[parent]
+        tables.append(parent)
+        tables.reverse()
+        edges.reverse()
+        return JoinPath(tables=tables, edges=edges)
+
+    def reached(self) -> Set[str]:
+        """Every table reached beyond the start tables.
+
+        A path reaches its own last table and, through its prefix paths
+        (all in the tree), every earlier one, so this is the set of last
+        tables.
+        """
+        return set(self._tables)
+
+    def reached_from(self, start: str) -> Set[str]:
+        """Tables reached by the paths starting at ``start``, in one pass.
+
+        The walk emits each start table's paths as one contiguous run that
+        opens with a one-hop path, so a path's start is the parent of the
+        latest one-hop path at or before it.
+        """
+        reached: Set[str] = set()
+        current = None
+        for parent, table in zip(self._parents, self._tables):
+            if isinstance(parent, str):
+                current = parent
+            if current == start:
+                reached.add(table)
+        return reached
+
+
 @dataclass
 class JoinPathSearch:
     """The result of one Algorithm 3 enumeration.
 
+    ``paths`` is the walk's :class:`JoinPathTree`, in depth-first order.
     ``truncated`` is True when the ``max_paths`` cap stopped the walk before
     every start table was fully explored, so callers can tell a complete
     enumeration from a capped one.  The object behaves like the sequence of
     its paths, so existing iteration/len/slicing call sites keep working.
     """
 
-    paths: List[JoinPath]
+    paths: JoinPathTree
     truncated: bool = False
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[JoinPath]:
         return iter(self.paths)
 
     def __len__(self) -> int:
@@ -156,10 +256,25 @@ def _apply_edge(
 
 
 class SAJoinGraph:
-    """The SA-join graph G_S = (S, I) over an indexed data lake."""
+    """The SA-join graph G_S = (S, I) over an indexed data lake.
+
+    The graph is frozen on construction (``nx.freeze``: mutators raise
+    ``nx.NetworkXError``), so the sorted adjacency built alongside it —
+    per table, its neighbours in name order, each mapped to the join edge —
+    cannot drift out of sync.  Algorithm 3 and the :meth:`neighbours` /
+    :meth:`edge` lookups read that adjacency instead of sorting neighbours
+    and fetching edge data on every call.
+    """
 
     def __init__(self, graph: nx.Graph) -> None:
-        self._graph = graph
+        self._graph = nx.freeze(graph)
+        self._adjacency: Dict[str, Dict[str, Optional[JoinEdge]]] = {
+            table_name: {
+                neighbour: neighbours[neighbour].get("join")
+                for neighbour in sorted(neighbours)
+            }
+            for table_name, neighbours in graph.adjacency()
+        }
 
     @property
     def graph(self) -> nx.Graph:
@@ -172,17 +287,12 @@ class SAJoinGraph:
         return list(self._graph.nodes)
 
     def neighbours(self, table_name: str) -> List[str]:
-        """Tables SA-joinable with ``table_name`` (empty when unknown)."""
-        if table_name not in self._graph:
-            return []
-        return sorted(self._graph.neighbors(table_name))
+        """Tables SA-joinable with ``table_name``, sorted (empty when unknown)."""
+        return list(self._adjacency.get(table_name, ()))
 
     def edge(self, first: str, second: str) -> Optional[JoinEdge]:
         """The join edge between two tables, when one exists."""
-        data = self._graph.get_edge_data(first, second)
-        if not data:
-            return None
-        return data["join"]
+        return self._adjacency.get(first, {}).get(second)
 
     def edge_count(self) -> int:
         """Number of SA-join edges in the graph."""
@@ -437,43 +547,54 @@ def find_join_paths(
     condition); only such tables may appear on a path.  Paths are acyclic, do
     not revisit top-k tables, and are truncated at ``max_length`` hops.
 
+    The walk is depth-first over the graph's sorted adjacency, start tables
+    in the given order, and records its output as a :class:`JoinPathTree`:
+    each path is its parent path (or start table), its last table and its
+    last edge, so no :class:`JoinPath` is built until a caller reads one.
+
     ``max_paths`` bounds the enumeration: dense join graphs have
     combinatorially many acyclic paths, and the coverage computation only
     needs the reachable tables, so the walk stops once the cap is reached —
     and the returned :class:`JoinPathSearch` carries ``truncated=True`` so
     callers can tell a complete enumeration from a capped one (the cap can
-    hit mid-walk, leaving later start tables unexplored).
+    hit mid-walk, leaving later start tables unexplored).  The cap is
+    checked before each neighbour is tried, so a walk that finishes exactly
+    at the cap is not flagged.
     """
-    top_k_set = set(top_k_tables)
-    related = set(related_tables)
-    paths: List[JoinPath] = []
+    adjacency = graph._adjacency
+    allowed = set(related_tables).difference(top_k_tables)
+    parents: List[Union[int, str]] = []
+    tables: List[str] = []
+    edges: List[JoinEdge] = []
+    on_path: List[str] = []
 
-    def _walk(current: str, path_tables: List[str], path_edges: List[JoinEdge]) -> bool:
-        if len(path_tables) - 1 >= max_length:
-            return True
-        for neighbour in graph.neighbours(current):
-            if max_paths is not None and len(paths) >= max_paths:
+    def _walk(current: str, parent: Union[int, str], hops: int) -> bool:
+        """Extend the path ending at ``current``; False once the cap stops it."""
+        deeper = hops + 1 < max_length
+        for neighbour, edge in adjacency.get(current, {}).items():
+            if max_paths is not None and len(tables) >= max_paths:
                 return False
-            if neighbour in top_k_set or neighbour in path_tables:
+            if edge is None or neighbour not in allowed or neighbour in on_path:
                 continue
-            if neighbour not in related:
-                continue
-            edge = graph.edge(current, neighbour)
-            if edge is None:
-                continue
-            new_tables = path_tables + [neighbour]
-            new_edges = path_edges + [edge]
-            paths.append(JoinPath(tables=list(new_tables), edges=list(new_edges)))
-            if not _walk(neighbour, new_tables, new_edges):
-                return False
+            index = len(tables)
+            parents.append(parent)
+            tables.append(neighbour)
+            edges.append(edge)
+            if deeper:
+                on_path.append(neighbour)
+                finished = _walk(neighbour, index, hops + 1)
+                on_path.pop()
+                if not finished:
+                    return False
         return True
 
     truncated = False
-    for start in top_k_tables:
-        if not _walk(start, [start], []):
-            truncated = True
-            break
-    return JoinPathSearch(paths=paths, truncated=truncated)
+    if max_length >= 1:
+        for start in top_k_tables:
+            if not _walk(start, start, 0):
+                truncated = True
+                break
+    return JoinPathSearch(paths=JoinPathTree(parents, tables, edges), truncated=truncated)
 
 
 def tables_reached(paths: Iterable[JoinPath]) -> Set[str]:

@@ -26,6 +26,7 @@ from repro.core.api import (
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
+from repro.core.joins import JoinPathTree
 from repro.core.persistence import PersistenceError, load_session, save_session
 from repro.core.weights import EvidenceWeights
 from repro.tables.table import Table
@@ -501,6 +502,26 @@ class TestJoinRequests:
             restored = QueryResponse.from_dict(wire)
             assert restored == response
             assert restored.to_dict() == response.to_dict()
+
+    def test_full_join_response_round_trips_tree_against_list(
+        self, indexed_d3l, small_synthetic_benchmark
+    ):
+        target = small_synthetic_benchmark.pick_targets(1, seed=3)[0]
+        response = DiscoverySession(indexed_d3l).submit(
+            QueryRequest(target=target, k=3, joins=True)
+        )
+        paths = response.join_paths.paths
+        assert isinstance(paths, JoinPathTree)
+        assert len(paths) > TRUNCATED_JOIN_PATH_CAP
+        restored = QueryResponse.from_dict(response.to_dict())
+        assert type(restored.join_paths.paths) is list
+        assert restored == response and response == restored
+        wire = response.truncated().to_dict()
+        assert wire["join_paths"]["paths"] == [
+            {"tables": path["tables"], "edges": path["edges"]}
+            for path in response.to_dict()["join_paths"]["paths"][:TRUNCATED_JOIN_PATH_CAP]
+        ]
+        assert wire["join_paths"]["truncated"] is True
 
     def test_truncated_flag_reaches_the_wire(self, figure1_tables, fast_config):
         config = dataclasses.replace(fast_config, max_join_paths=1)

@@ -1,15 +1,23 @@
 """Tests for SA-joinability and Algorithm 3 join-path discovery."""
 
 import dataclasses
+import gc
+import itertools
+import pickle
+from typing import List
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.discovery import JoinAugmentedResult
 from repro.core.evidence import EvidenceType
 from repro.core.joins import (
     JoinEdge,
     JoinPath,
     JoinPathSearch,
+    JoinPathTree,
     SAJoinGraph,
     _subject_probes,
     estimated_overlap,
@@ -202,9 +210,9 @@ class TestQueryWithJoins:
         augmented = figure1_engine.query_with_joins(figure1_tables["target"], k=1)
         assert augmented.base.requested_k == 1
         top_table = augmented.base.table_names(1)[0]
-        assert augmented.tables_for(top_table) == {
-            path.tables[1] for path in augmented.join_paths if path.start == top_table
-        } or augmented.tables_for(top_table) == set()
+        assert augmented.tables_for(top_table) == set().union(
+            *(path.reached for path in augmented.join_paths if path.start == top_table)
+        )
 
     def test_joined_tables_not_in_top_k(self, figure1_engine, figure1_tables):
         augmented = figure1_engine.query_with_joins(figure1_tables["target"], k=1)
@@ -379,3 +387,253 @@ class TestEnsembleEquivalence:
         batched = SAJoinGraph.build(figure1_engine.indexes, figure1_engine.config)
         assert batched.edge_count() >= 1
         assert edge_map(ensemble) == edge_map(batched)
+
+
+class _ReferenceGraph:
+    """SA-join graph lookups for the reference walk, independent of the
+    adjacency under test: neighbours sorted and edge data fetched from
+    networkx on every call."""
+
+    def __init__(self, graph: nx.Graph) -> None:
+        self._graph = graph
+
+    def neighbours(self, table_name):
+        if table_name not in self._graph:
+            return []
+        return sorted(self._graph.neighbors(table_name))
+
+    def edge(self, first, second):
+        data = self._graph.get_edge_data(first, second)
+        if not data:
+            return None
+        return data["join"]
+
+
+def reference_find_join_paths(
+    graph, top_k_tables, related_tables, max_length=3, max_paths=None
+):
+    """Algorithm 3 as an eager recursive walk, one JoinPath per path: the
+    oracle the prefix-tree walk is checked against.  Returns (paths, truncated)."""
+    graph = _ReferenceGraph(graph)
+    top_k_set = set(top_k_tables)
+    related = set(related_tables)
+    paths: List[JoinPath] = []
+
+    def _walk(current: str, path_tables: List[str], path_edges: List[JoinEdge]) -> bool:
+        if len(path_tables) - 1 >= max_length:
+            return True
+        for neighbour in graph.neighbours(current):
+            if max_paths is not None and len(paths) >= max_paths:
+                return False
+            if neighbour in top_k_set or neighbour in path_tables:
+                continue
+            if neighbour not in related:
+                continue
+            edge = graph.edge(current, neighbour)
+            if edge is None:
+                continue
+            new_tables = path_tables + [neighbour]
+            new_edges = path_edges + [edge]
+            paths.append(JoinPath(tables=list(new_tables), edges=list(new_edges)))
+            if not _walk(neighbour, new_tables, new_edges):
+                return False
+        return True
+
+    truncated = False
+    for start in top_k_tables:
+        if not _walk(start, [start], []):
+            truncated = True
+            break
+    return paths, truncated
+
+
+def _join_edge(first: str, second: str, overlap: float) -> JoinEdge:
+    return JoinEdge(
+        left=AttributeRef(first, "subject"),
+        right=AttributeRef(second, "key"),
+        overlap=overlap,
+    )
+
+
+@st.composite
+def walk_cases(draw):
+    """A random join graph (<= 12 tables, edges inserted in shuffled order,
+    a few without join data) plus start tables, a related set and max_length."""
+    names = draw(
+        st.lists(
+            st.text(alphabet="abcdefg", min_size=1, max_size=2),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    pairs = list(itertools.combinations(names, 2))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["none", "join", "join", "bare"]),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    edges = [(pair, kind) for pair, kind in zip(pairs, kinds) if kind != "none"]
+    graph = nx.Graph()
+    graph.add_nodes_from(draw(st.permutations(names)))
+    for (first, second), kind in draw(st.permutations(edges)):
+        if kind == "bare":
+            graph.add_edge(first, second)
+        else:
+            overlap = draw(st.floats(min_value=0.5, max_value=1.0))
+            graph.add_edge(first, second, join=_join_edge(first, second, overlap))
+    pool = names + ["missing"]
+    starts = draw(st.lists(st.sampled_from(pool), max_size=4))
+    related = draw(st.sets(st.sampled_from(pool)))
+    max_length = draw(st.integers(min_value=0, max_value=4))
+    return graph, starts, related, max_length
+
+
+def _as_pairs(paths):
+    return [(path.tables, path.edges) for path in paths]
+
+
+class TestPrefixTreeOracle:
+    """The prefix-tree walk against the eager reference walk."""
+
+    @given(
+        walk_cases(),
+        st.sampled_from([None, 1, 2, "exact", "exact+1", "random"]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_walk(self, case, cap_kind, cap_seed):
+        graph, starts, related, max_length = case
+        join_graph = SAJoinGraph(graph)
+        exact, _ = reference_find_join_paths(graph, starts, related, max_length)
+        max_paths = {
+            "exact": len(exact),
+            "exact+1": len(exact) + 1,
+            "random": 1 + cap_seed % (len(exact) + 3),
+        }.get(cap_kind, cap_kind)
+        if max_paths == 0:
+            max_paths = None  # the engine's config rejects a zero cap
+
+        expected, expected_truncated = reference_find_join_paths(
+            graph, starts, related, max_length, max_paths
+        )
+        search = find_join_paths(join_graph, starts, related, max_length, max_paths)
+        tree = search.paths
+
+        assert _as_pairs(tree) == _as_pairs(expected)
+        assert search.truncated == expected_truncated
+        augmented = JoinAugmentedResult(
+            base=None,
+            join_paths=tree,
+            joined_tables=tree.reached(),
+            truncated=search.truncated,
+        )
+        assert augmented.joined_tables == tables_reached(expected)
+        for start in graph.nodes | {"missing"}:
+            assert augmented.tables_for(start) == set().union(
+                *(path.reached for path in expected if path.start == start)
+            )
+        assert tree == expected and expected == tree
+        assert tree[::-2] == expected[::-2]
+        assert pickle.loads(pickle.dumps(tree)) == expected
+
+    def test_cap_is_checked_before_each_neighbour(self):
+        graph = nx.Graph()
+        for first, second in [("s", "b"), ("b", "c"), ("s", "d")]:
+            graph.add_edge(first, second, join=_join_edge(first, second, 0.9))
+        related = {"b", "c", "d"}
+        # After its third and last path the walk still tries d's neighbour s,
+        # so a cap of exactly three flags it.
+        search = find_join_paths(SAJoinGraph(graph), ["s"], related, max_paths=3)
+        assert [path.tables for path in search] == [["s", "b"], ["s", "b", "c"], ["s", "d"]]
+        assert search.truncated
+        assert (search.paths, search.truncated) == reference_find_join_paths(
+            graph, ["s"], related, max_paths=3
+        )
+
+
+class TestJoinPathTreeSequence:
+    """The tree reads as a read-only sequence of JoinPath."""
+
+    @pytest.fixture
+    def search(self):
+        graph = nx.Graph()
+        for first, second in [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"), ("x", "y")]:
+            graph.add_edge(first, second, join=_join_edge(first, second, 0.8))
+        related = {"b", "c", "d", "e", "y"}
+        return find_join_paths(SAJoinGraph(graph), ["a", "x"], related)
+
+    def test_indexing(self, search):
+        tree = search.paths
+        assert isinstance(tree, JoinPathTree)
+        assert [path.tables for path in tree] == [
+            ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"], ["a", "e"], ["x", "y"]
+        ]
+        assert tree[-1] == tree[len(tree) - 1] == JoinPath(
+            tables=["x", "y"], edges=[_join_edge("x", "y", 0.8)]
+        )
+        assert tree[-len(tree)] == tree[0]
+        assert tree[np.int64(2)].tables == ["a", "b", "c", "d"]
+        for index in (len(tree), -len(tree) - 1):
+            with pytest.raises(IndexError):
+                tree[index]
+        with pytest.raises(TypeError):
+            tree["0"]
+
+    def test_slices_return_lists(self, search):
+        tree, paths = search.paths, list(search.paths)
+        for window in (slice(None), slice(1, 4), slice(None, None, 2), slice(None, None, -1),
+                       slice(-2, None), slice(10, 20)):
+            assert type(tree[window]) is list
+            assert tree[window] == paths[window]
+
+    def test_equality_with_lists_and_trees(self, search):
+        tree, paths = search.paths, list(search.paths)
+        assert tree == paths and paths == tree
+        assert not (tree != paths) and not (paths != tree)
+        assert tree != paths[:-1] and paths[:-1] != tree
+        assert tree != tuple(paths)
+        assert tree == pickle.loads(pickle.dumps(tree))
+        with pytest.raises(TypeError):
+            hash(tree)
+
+
+class TestPathStorage:
+    def test_walk_keeps_no_per_path_objects(self):
+        """6175 paths (one start on a complete 20-table graph, three hops)
+        leave a bounded number of garbage-collected objects alive."""
+        names = [f"t{index:02d}" for index in range(20)]
+        graph = nx.Graph()
+        for first, second in itertools.combinations(names, 2):
+            graph.add_edge(first, second, join=_join_edge(first, second, 0.9))
+        join_graph = SAJoinGraph(graph)
+        gc.collect()
+        before = len(gc.get_objects())
+        search = find_join_paths(join_graph, [names[0]], names, max_length=3)
+        grown = len(gc.get_objects()) - before
+        assert len(search) == 19 + 19 * 18 + 19 * 18 * 17 == 6175
+        assert grown < 100
+
+
+class TestFrozenJoinGraph:
+    def test_graph_is_immutable_and_lookups_use_the_adjacency(self):
+        graph = nx.Graph()
+        for first, second in [("m", "z"), ("m", "a"), ("k", "m")]:
+            graph.add_edge(first, second, join=_join_edge(first, second, 0.7))
+        join_graph = SAJoinGraph(graph)
+        with pytest.raises(nx.NetworkXError):
+            join_graph.graph.add_edge("m", "q")
+        with pytest.raises(nx.NetworkXError):
+            join_graph.graph.remove_node("m")
+        assert join_graph.neighbours("m") == ["a", "k", "z"]
+        assert join_graph.neighbours("a") == ["m"]
+        assert join_graph.edge("m", "a") is join_graph.edge("a", "m")
+        assert join_graph.edge("a", "z") is None
+
+    def test_engine_graph_is_frozen(self, figure1_engine):
+        graph = figure1_engine.join_graph
+        assert nx.is_frozen(graph.graph)
+        for table_name in graph.table_names:
+            assert graph.neighbours(table_name) == sorted(graph.graph.neighbors(table_name))
