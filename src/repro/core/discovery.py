@@ -29,7 +29,7 @@ from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
 from repro.core.execution import IndexReadWriteLock
 from repro.core.indexes import D3LIndexes
-from repro.core.joins import JoinPathTree, SAJoinGraph, find_join_paths
+from repro.core.joins import JoinOverlapCache, JoinPathTree, SAJoinGraph, find_join_paths
 from repro.core.profiles import AttributeMatch, AttributeProfile, TableProfile
 from repro.core.weights import EvidenceWeights
 from repro.lake.datalake import AttributeRef, DataLake
@@ -215,9 +215,9 @@ class D3L:
         # Exact value-overlap coefficients verified by previous join-graph
         # builds, keyed by (subject ref, candidate ref).  An overlap is a pure
         # function of the two tables' value samples, so entries stay valid
-        # until either side mutates — incremental rebuilds after a
-        # single-table mutation re-verify only the pairs touching it.
-        self._join_overlap_cache: Dict[Tuple[AttributeRef, AttributeRef], float] = {}
+        # until either side mutates — a mutation evicts only the pairs
+        # touching its table.
+        self._join_overlap_cache = JoinOverlapCache()
 
     # ------------------------------------------------------------------ #
     # indexing
@@ -247,9 +247,9 @@ class D3L:
         Re-indexing an already known name replaces its previous attributes
         (the lake's documented replace semantics).  Only state derived from
         the mutated table is dropped: verified join overlaps touching it, and
-        the cached join graph (rebuilt incrementally from the surviving
-        overlaps on next use).  Fan-out worker pools stay alive and refresh
-        themselves with a delta on the next request.
+        the cached join graph (updated for the mutated tables on next use,
+        see :meth:`build_join_graph`).  Fan-out worker pools stay alive and
+        refresh themselves with a delta on the next request.
         """
         with self.index_lock.write():
             self.indexes.add_table(table)
@@ -267,14 +267,10 @@ class D3L:
         """Per-table invalidation after a single-table mutation.
 
         Evicts only the verified overlaps involving ``table_name``; worker
-        pools are left running (delta refresh) and the join graph rebuilds
+        pools are left running (delta refresh) and the join graph is updated
         lazily because its cached version no longer matches the indexes.
         """
-        self._join_overlap_cache = {
-            pair: overlap
-            for pair, overlap in self._join_overlap_cache.items()
-            if pair[0].table != table_name and pair[1].table != table_name
-        }
+        self._join_overlap_cache.evict_table(table_name)
 
     def _invalidate_query_executors(self) -> None:
         """Discard fan-out worker pools holding a now-stale index snapshot."""
@@ -332,7 +328,7 @@ class D3L:
         The cache is keyed by :attr:`~repro.core.indexes.D3LIndexes.version`,
         so graphs restored by :func:`~repro.core.persistence.load_engine` /
         ``load_session`` are served without recomputation while any lake
-        mutation forces a rebuild.
+        mutation forces an update (see :meth:`build_join_graph`).
         """
         return self.build_join_graph()
 
@@ -347,23 +343,40 @@ class D3L:
         created on demand); the resulting edge set is identical to a
         single-process build, so the cache keys on neither the worker count
         nor the backend.
+
+        After a mutation the stale graph is updated rather than rebuilt:
+        the mutation journal names the tables mutated since the graph's
+        version, and :meth:`SAJoinGraph.build` edits the previous build's
+        candidate pools for those tables only.  When the journal cannot
+        answer (the graph fell out of its window) or the graph kept no
+        pools (restored by a load, or none built yet after ``index_lake``),
+        every probe is walked again.
         """
-        if self._join_graph is None or self._join_graph_version != self.indexes.version:
+        graph, graph_version = self._join_graph, self._join_graph_version
+        version = self.indexes.version
+        if graph is None or graph_version != version:
             executor = (
                 self._fanout_executor(workers, backend)
                 if workers is not None and workers > 1
                 else None
             )
-            self._join_graph = SAJoinGraph.build(
+            mutated = (
+                None
+                if graph is None or graph_version is None
+                else self.indexes.mutated_tables_since(graph_version)
+            )
+            graph = SAJoinGraph.build(
                 self.indexes,
                 self.config,
                 workers=workers,
                 executor=executor,
                 overlap_cache=self._join_overlap_cache,
                 backend=backend,
+                previous=graph,
+                mutated_tables=mutated,
             )
-            self._join_graph_version = self.indexes.version
-        return self._join_graph
+            self._join_graph, self._join_graph_version = graph, version
+        return graph
 
     @property
     def cached_join_graph(self) -> Optional[SAJoinGraph]:

@@ -806,6 +806,7 @@ class D3LIndexes:
         exclude_table: Optional[str] = None,
         max_distance: Optional[float] = None,
         exclude_tables: Optional[Sequence[Optional[str]]] = None,
+        walks: bool = False,
     ) -> List[List[Tuple[AttributeRef, float]]]:
         """:meth:`lookup` for many query signatures of one evidence type.
 
@@ -825,6 +826,10 @@ class D3LIndexes:
         applies to signature ``i``), which is how the SA-join graph build
         batches one probe per lake table while every probe still excludes
         its own table; it overrides ``exclude_table`` when provided.
+
+        ``walks=True`` returns ``(answers, walks)``: each query's forest
+        :class:`~repro.lsh.lsh_forest.Walk` too, taken before exclusion, so
+        the SA-join graph can keep its probes' candidate pools.
         """
         if not evidence.is_indexed:
             raise ValueError("distribution evidence has no LSH index to look up")
@@ -838,7 +843,11 @@ class D3LIndexes:
         candidates_per_query = forest.multi_query(
             [None if signature is None else _raw(signature) for signature in signatures],
             k,
+            walks=walks,
         )
+        if walks:
+            walk_list = candidates_per_query
+            candidates_per_query = [walk.items[:k] for walk in walk_list]
         refs_per_query: List[List[AttributeRef]] = []
         rows_per_query: List[List[int]] = []
         for position, signature in enumerate(signatures):
@@ -877,7 +886,14 @@ class D3LIndexes:
             order = np.lexsort((row_ranks, distances))[:k].tolist()
             values = distances.tolist()
             results.append([(refs[index], values[index]) for index in order])
-        return results
+        return (results, walk_list) if walks else results
+
+    def walk_keys(
+        self, evidence: EvidenceType, signatures: Sequence[Signature]
+    ) -> np.ndarray:
+        """Forest tree keys of query signatures, for
+        :meth:`~repro.lsh.lsh_forest.LSHForest.walk_steps`."""
+        return self._forests[evidence].walk_keys([_raw(signature) for signature in signatures])
 
     def multi_batch_attribute_distances(
         self,

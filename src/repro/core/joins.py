@@ -17,13 +17,34 @@ value-sample verification, optionally sharded across worker processes
 (:func:`~repro.core.parallel.verify_value_overlaps`).  The scalar
 probe-at-a-time construction lives on as :meth:`SAJoinGraph.build_sequential`,
 the equivalence oracle the batched build is verified against.
+
+A build keeps each probe's candidate pool — its value-forest walk through
+the step that filled the pool, as integer arrays — and its verified edges.
+A probe's candidates are the first ``join_candidate_pool`` items of a fixed
+per-(probe, item) order (see "Walk order" in :mod:`repro.lsh.lsh_forest`),
+so after a lake mutation the next build edits the pools of the mutated
+tables' attributes in place of re-walking every probe, and scores only the
+candidates that entered a pool's first items.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
 import numpy as np
@@ -207,22 +228,24 @@ def estimated_overlap(jaccard: float, size_a: int, size_b: int) -> float:
 
 
 def estimated_overlaps(
-    jaccard: np.ndarray, size_a: int, sizes_b: np.ndarray
+    jaccard: np.ndarray, size_a: Union[int, np.ndarray], sizes_b: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`estimated_overlap` of one probe against many candidates.
+    """Vectorized :func:`estimated_overlap` over many pairs.
 
     Entry ``i`` equals ``estimated_overlap(jaccard[i], size_a, sizes_b[i])``
-    exactly; this is the pre-filter arithmetic of the batched SA-join graph
-    build, evaluated once per candidate pool instead of once per pair.
+    exactly — ``size_a[i]`` when ``size_a`` is an array, one per pair; this
+    is the pre-filter arithmetic of the batched SA-join graph build,
+    evaluated once per build instead of once per pair.
     """
     jaccard = np.asarray(jaccard, dtype=np.float64)
     sizes_b = np.asarray(sizes_b, dtype=np.float64)
+    sizes_a = np.broadcast_to(np.asarray(size_a, dtype=np.float64), sizes_b.shape)
     values = np.zeros_like(jaccard)
-    smaller = np.minimum(float(size_a), sizes_b)
+    smaller = np.minimum(sizes_a, sizes_b)
     valid = (smaller > 0) & (jaccard > 0.0)
     values[valid] = (
         jaccard[valid]
-        * (size_a + sizes_b[valid])
+        * (sizes_a[valid] + sizes_b[valid])
         / ((1.0 + jaccard[valid]) * smaller[valid])
     )
     return np.minimum(values, 1.0)
@@ -244,6 +267,14 @@ def _subject_probes(indexes: D3LIndexes) -> List[Tuple[str, AttributeProfile]]:
     return probes
 
 
+def _probe_signature(indexes: D3LIndexes, subject: AttributeProfile):
+    """The value signature a subject-attribute probe descends with."""
+    signature = indexes.signature(EvidenceType.VALUE, subject.ref)
+    if signature is None:
+        signature = indexes.signature_of(EvidenceType.VALUE, subject)
+    return signature
+
+
 def _apply_edge(
     graph: nx.Graph, table_name: str, subject_ref: AttributeRef, ref: AttributeRef,
     overlap: float,
@@ -253,6 +284,414 @@ def _apply_edge(
     edge = JoinEdge(left=subject_ref, right=ref, overlap=overlap)
     if existing is None or existing["join"].overlap < overlap:
         graph.add_edge(table_name, ref.table, join=edge)
+
+
+#: A pair whose exact value overlap was verified: (subject ref, candidate ref).
+OverlapPair = Tuple[AttributeRef, AttributeRef]
+
+
+class JoinOverlapCache(Mapping):
+    """Verified exact value overlaps, keyed by ``(subject ref, candidate ref)``.
+
+    A read-only mapping plus :meth:`update` and per-table eviction.  Each
+    pair is also listed under both of its tables, so evicting a mutated
+    table touches only that table's pairs instead of rebuilding the whole
+    mapping.  ``dict(cache)`` is the flat pair → overlap form persistence
+    writes.
+
+    Listing a pair hashes only its table names: a pair hashes through two
+    Python-level ``AttributeRef.__hash__`` calls, and a full build adds
+    ~16k pairs.  An evicted pair stays listed under its other table until
+    that table is evicted too (``pop`` of an absent pair is a no-op); once
+    stale entries outnumber live ones, the lists are rebuilt.
+    """
+
+    __slots__ = ("_overlaps", "_pairs_of", "_listed")
+
+    def __init__(self, overlaps: Optional[Mapping] = None) -> None:
+        self._overlaps: Dict[OverlapPair, float] = {}
+        self._pairs_of: Dict[str, List[OverlapPair]] = defaultdict(list)
+        self._listed = 0
+        if overlaps:
+            self.update(overlaps)
+
+    def __getitem__(self, pair: OverlapPair) -> float:
+        return self._overlaps[pair]
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self._overlaps
+
+    def __iter__(self) -> Iterator[OverlapPair]:
+        return iter(self._overlaps)
+
+    def __len__(self) -> int:
+        return len(self._overlaps)
+
+    def update(self, overlaps: Mapping) -> None:
+        """Add or overwrite verified overlaps."""
+        self._overlaps.update(overlaps)
+        self._list(overlaps)
+
+    def _list(self, pairs: Iterable[OverlapPair]) -> None:
+        pairs_of = self._pairs_of
+        listed = 0
+        for pair in pairs:
+            left, right = pair
+            pairs_of[left.table].append(pair)
+            if right.table != left.table:
+                pairs_of[right.table].append(pair)
+                listed += 1
+            listed += 1
+        self._listed += listed
+
+    def evict_table(self, table_name: str) -> None:
+        """Drop every overlap with an attribute of ``table_name``."""
+        pairs = self._pairs_of.pop(table_name, [])
+        self._listed -= len(pairs)
+        for pair in pairs:
+            self._overlaps.pop(pair, None)
+        if self._listed > 4 * len(self._overlaps):
+            self._pairs_of.clear()
+            self._listed = 0
+            self._list(self._overlaps)
+
+    def clear(self) -> None:
+        """Drop every overlap."""
+        self._overlaps.clear()
+        self._pairs_of.clear()
+        self._listed = 0
+
+
+#: A probe's verified edges, ``(distance, candidate ref, overlap)`` in
+#: (distance, ref) order: the order a build applies them in.
+_Edges = List[Tuple[float, AttributeRef, float]]
+
+
+def _build_settings(config: D3LConfig) -> Tuple[int, float, float]:
+    """The configuration a build's pools and edges depend on."""
+    return (
+        config.join_candidate_pool,
+        config.join_prefilter_margin,
+        config.overlap_threshold,
+    )
+
+
+@dataclass(eq=False)
+class _ProbePools:
+    """What an SA-join graph build keeps, so that the next one can edit it.
+
+    Row ``i`` is the probe of table ``tables[i]`` (sorted table order): its
+    subject attribute ``subjects[i]`` and the value-forest tree keys
+    ``keys[i]`` of its signature.  Its pool is entries
+    ``bounds[i]:bounds[i + 1]`` of ``codes`` and ``steps``: every item its
+    walk collected through the step that filled the pool — every item it
+    reached when the walk ran out first — in walk order, as codes into
+    ``refs``, each with the step that reached it.  ``edges[i]`` holds the
+    verified edges of the pool's first ``join_candidate_pool`` items.
+
+    The pools are flat integer arrays, not per-entry objects: tens of
+    thousands of small long-lived objects would make every full garbage
+    collection walk them.
+    """
+
+    settings: Tuple[int, float, float]
+    tables: List[str]
+    subjects: List[AttributeRef]
+    keys: np.ndarray
+    codes: np.ndarray
+    steps: np.ndarray
+    bounds: np.ndarray
+    edges: List[_Edges]
+    refs: List[AttributeRef]
+    code_of: Dict[AttributeRef, int]
+
+    def pool(self, table_name: str) -> List[Tuple[AttributeRef, int]]:
+        """``(ref, step)`` of every item in the pool of ``table_name``'s probe."""
+        row = self.tables.index(table_name)
+        start, end = self.bounds[row], self.bounds[row + 1]
+        return [
+            (self.refs[code], step)
+            for code, step in zip(self.codes[start:end].tolist(), self.steps[start:end].tolist())
+        ]
+
+
+class _PoolBuild:
+    """One SA-join graph build: every probe walked, or a previous build's
+    pools edited for the mutated tables and only the rest walked."""
+
+    def __init__(
+        self, indexes: D3LIndexes, config: D3LConfig, previous: Optional[_ProbePools]
+    ) -> None:
+        self.indexes = indexes
+        self.forest = indexes.forest(EvidenceType.VALUE)
+        self.settings = _build_settings(config)
+        self.pool, self.margin, self.threshold = self.settings
+        self.probes = _subject_probes(indexes)
+        self.signatures = [
+            _probe_signature(indexes, subject) for _, subject in self.probes
+        ]
+        count = len(self.probes)
+        # Codes are append-only, so old pools stay readable; copies keep a
+        # concurrent build of the same previous state from sharing them.
+        if previous is None:
+            self.refs: List[AttributeRef] = []
+            self.code_of: Dict[AttributeRef, int] = {}
+            self._codes(self.forest.keys())
+        else:
+            self.refs = list(previous.refs)
+            self.code_of = dict(previous.code_of)
+        self.keys = np.zeros(
+            (count, self.forest.num_trees, self.forest.key_length), dtype=np.uint64
+        )
+        self.codes: List[Optional[np.ndarray]] = [None] * count
+        self.steps: List[Optional[np.ndarray]] = [None] * count
+        self.edges: List[Optional[_Edges]] = [None] * count
+        #: ``(row, (distance, ref) candidates, edges carried over)`` awaiting
+        #: the prefilter and exact verification.
+        self.pending: List[Tuple[int, List[Tuple[float, AttributeRef]], _Edges]] = []
+
+    # ------------------------------------------------------------------ #
+    # pools
+    # ------------------------------------------------------------------ #
+    def _codes(self, refs: Sequence[AttributeRef]) -> np.ndarray:
+        """Item codes of ``refs``, coding refs seen for the first time."""
+        try:
+            return np.fromiter(
+                map(self.code_of.__getitem__, refs), dtype=np.int32, count=len(refs)
+            )
+        except KeyError:
+            for ref in refs:
+                if ref not in self.code_of:
+                    self.code_of[ref] = len(self.refs)
+                    self.refs.append(ref)
+            return self._codes(refs)
+
+    def carry(self, previous: _ProbePools, mutated: AbstractSet[str]) -> List[int]:
+        """Take over the previous rows of unmutated probes; return the rows to walk.
+
+        A kept pool loses the mutated tables' old attributes and gains the
+        current ones its walk reaches in time
+        (:meth:`~repro.lsh.lsh_forest.LSHForest.edit_walks`); a pool that
+        edit leaves short is walked again.  Only candidates new to a pool's
+        first items are scored; a mutated table's attributes keep their
+        codes, so they count as new.
+        """
+        old_rows = {table_name: row for row, table_name in enumerate(previous.tables)}
+        carried: List[Tuple[int, int]] = []
+        walk: List[int] = []
+        for row, (table_name, _) in enumerate(self.probes):
+            old = old_rows.get(table_name)
+            if old is None or table_name in mutated or self.signatures[row] is None:
+                walk.append(row)
+            else:
+                carried.append((row, old))
+        if not carried:
+            return walk
+        rows = [row for row, _ in carried]
+        olds = np.asarray([old for _, old in carried], dtype=np.intp)
+        self.keys[rows] = previous.keys[olds]
+        inserted = [
+            profile.ref
+            for table_name in sorted(mutated)
+            if table_name in self.indexes.table_profiles
+            for profile in self.indexes.table_profiles[table_name].attributes.values()
+            if profile.ref in self.forest
+        ]
+        arrived = self._codes(inserted)
+        reached = (
+            self.forest.walk_steps(
+                self.keys[rows], [self.forest.signature(ref) for ref in inserted]
+            )
+            if inserted
+            else np.empty((len(rows), 0), dtype=np.int32)
+        )
+        # The carried pools, flattened in row order.
+        starts = previous.bounds[olds]
+        lengths = previous.bounds[olds + 1] - starts
+        offsets = np.cumsum(lengths) - lengths
+        take = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+        walks = np.repeat(np.arange(len(carried)), lengths)
+        codes = previous.codes[take]
+        removed = [code for code, ref in enumerate(previous.refs) if ref.table in mutated]
+        gone = np.isin(codes, removed)
+        new_walks, new_codes, new_steps, origin, rewalk = self.forest.edit_walks(
+            walks, codes, previous.steps[take], len(carried), gone, arrived, reached,
+            self.pool, self.refs.__getitem__,
+        )
+        # The unmutated old first items keep their edges while they stay
+        # first (``left`` holds the others, keyed by carried row and code);
+        # every other new first item is scored.
+        new_lengths = np.bincount(new_walks, minlength=len(carried))
+        new_offsets = np.cumsum(new_lengths) - new_lengths
+        old_first = np.arange(len(take)) - offsets[walks] < self.pool
+        was_first = old_first & ~gone
+        is_first = np.arange(len(new_walks)) - new_offsets[new_walks] < self.pool
+        kept_first = is_first & (origin >= 0)
+        stays = np.zeros(len(take), dtype=bool)
+        stays[origin[kept_first]] = True
+        width = len(self.refs)
+        gone_first = was_first & ~stays
+        left = set((walks[gone_first] * width + codes[gone_first]).tolist())
+        fresh = is_first.copy()
+        fresh[kept_first] = ~was_first[origin[kept_first]]
+        entered: Dict[int, List[AttributeRef]] = defaultdict(list)
+        for position, code in zip(new_walks[fresh].tolist(), new_codes[fresh].tolist()):
+            ref = self.refs[code]
+            if ref.table != self.probes[carried[position][0]][0]:
+                entered[position].append(ref)
+        # Only rows whose first items lost one can lose an edge.
+        losing = np.bincount(walks[gone_first | (old_first & gone)], minlength=len(carried))
+        bounds = np.cumsum(new_lengths).tolist()
+        for position, (row, old) in enumerate(carried):
+            if rewalk[position]:
+                walk.append(row)
+                continue
+            start, end = bounds[position] - int(new_lengths[position]), bounds[position]
+            self.codes[row], self.steps[row] = new_codes[start:end], new_steps[start:end]
+            edges = previous.edges[old]
+            if losing[position]:
+                edges = [
+                    edge
+                    for edge in edges
+                    if edge[1].table not in mutated
+                    and position * width + self.code_of[edge[1]] not in left
+                ]
+            self.edges[row] = edges
+        self._score_entered(
+            [(carried[position][0], refs, self.edges[carried[position][0]])
+             for position, refs in sorted(entered.items())]
+        )
+        return sorted(walk)
+
+    def walk(self, rows: List[int]) -> None:
+        """Walk the given rows' probes in one batched lookup and keep the walks."""
+        if not rows:
+            return
+        signatures = [self.signatures[row] for row in rows]
+        answers, walks = self.indexes.multi_lookup(
+            EvidenceType.VALUE,
+            signatures,
+            k=self.pool,
+            exclude_tables=[self.probes[row][0] for row in rows],
+            walks=True,
+        )
+        signed = [row for row in rows if self.signatures[row] is not None]
+        if signed:
+            self.keys[signed] = self.indexes.walk_keys(
+                EvidenceType.VALUE, [self.signatures[row] for row in signed]
+            )
+        for row, walk, candidates in zip(rows, walks, answers):
+            self.codes[row] = self._codes(walk.items)
+            self.steps[row] = walk.steps
+            self.pending.append((row, [(distance, ref) for ref, distance in candidates], []))
+
+    # ------------------------------------------------------------------ #
+    # scoring
+    # ------------------------------------------------------------------ #
+    def _score_entered(self, entered: List[Tuple[int, List[AttributeRef], _Edges]]) -> None:
+        """Score candidates new to kept pools with the lookup's distance kernel."""
+        if not entered:
+            return
+        distances = self.indexes.multi_batch_attribute_distances(
+            EvidenceType.VALUE,
+            [self.probes[row][1] for row, _, _ in entered],
+            [refs for _, refs, _ in entered],
+            signatures=[self.signatures[row] for row, _, _ in entered],
+        )
+        for (row, refs, edges), values in zip(entered, distances):
+            self.pending.append((row, sorted(zip(values.tolist(), refs)), edges))
+
+    def _prefilter(self) -> None:
+        """Keep only the pending candidates worth exact verification.
+
+        One vectorized estimated-overlap cut over every pending candidate;
+        ``estimated_overlaps`` is elementwise, so batching changes nothing.
+        """
+        profiles = self.indexes.profiles
+        usable: List[List[Tuple[float, AttributeRef]]] = []
+        distances: List[float] = []
+        subject_sizes: List[int] = []
+        sizes: List[int] = []
+        for row, candidates, _ in self.pending:
+            subject_size = len(self.probes[row][1].tokens)
+            kept = []
+            for distance, ref in candidates:
+                other = profiles.get(ref)
+                if other is not None and other.tokens:
+                    kept.append((distance, ref))
+                    distances.append(distance)
+                    subject_sizes.append(subject_size)
+                    sizes.append(len(other.tokens))
+            usable.append(kept)
+        if self.margin > 0.0 and distances:
+            estimates = estimated_overlaps(
+                1.0 - np.asarray(distances, dtype=np.float64),
+                np.asarray(subject_sizes, dtype=np.float64),
+                np.asarray(sizes, dtype=np.float64),
+            )
+            passing = iter((estimates >= self.threshold * self.margin).tolist())
+            usable = [[candidate for candidate in kept if next(passing)] for kept in usable]
+        self.pending = [
+            (row, kept, carried)
+            for (row, _, carried), kept in zip(self.pending, usable)
+        ]
+
+    def verify(self, overlap_cache, workers, executor, backend) -> None:
+        """Verify every pending candidate exactly and settle the rows' edges."""
+        from repro.core.parallel import verify_value_overlaps
+
+        self._prefilter()
+        pairs: List[OverlapPair] = []
+        samples: Dict[AttributeRef, Set[str]] = {}
+        for row, candidates, _ in self.pending:
+            subject = self.probes[row][1]
+            fresh = [
+                ref
+                for _, ref in candidates
+                if overlap_cache is None or (subject.ref, ref) not in overlap_cache
+            ]
+            if fresh and executor is None:
+                # The executor routing resolves samples worker-side from
+                # the attached shared index; only the sample-shipping
+                # paths need the dictionary built at all.
+                samples[subject.ref] = subject.value_sample
+                for ref in fresh:
+                    samples[ref] = self.indexes.profiles[ref].value_sample
+            pairs.extend((subject.ref, ref) for ref in fresh)
+        overlaps = verify_value_overlaps(
+            samples, pairs, workers=workers, executor=executor, backend=backend
+        )
+        if overlap_cache is not None:
+            overlap_cache.update(overlaps)
+            overlaps = overlap_cache
+        for row, candidates, carried in self.pending:
+            subject = self.probes[row][1]
+            edges = []
+            for distance, ref in candidates:
+                overlap = overlaps[(subject.ref, ref)]
+                if overlap >= self.threshold:
+                    edges.append((distance, ref, overlap))
+            self.edges[row] = sorted(carried + edges) if carried else edges
+
+    def finish(self) -> _ProbePools:
+        """The kept state: every row's pool and edges, flattened."""
+        lengths = [len(codes) for codes in self.codes]
+        return _ProbePools(
+            settings=self.settings,
+            tables=[table_name for table_name, _ in self.probes],
+            subjects=[subject.ref for _, subject in self.probes],
+            keys=self.keys,
+            codes=(
+                np.concatenate(self.codes) if self.codes else np.empty(0, dtype=np.int32)
+            ),
+            steps=(
+                np.concatenate(self.steps) if self.steps else np.empty(0, dtype=np.int32)
+            ),
+            bounds=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            edges=self.edges,
+            refs=self.refs,
+            code_of=self.code_of,
+        )
 
 
 class SAJoinGraph:
@@ -266,8 +705,10 @@ class SAJoinGraph:
     and fetching edge data on every call.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
+    def __init__(self, graph: nx.Graph, pools: Optional[_ProbePools] = None) -> None:
         self._graph = nx.freeze(graph)
+        # What the build kept for the next one (None: restored or derived).
+        self._pools = pools
         self._adjacency: Dict[str, Dict[str, Optional[JoinEdge]]] = {
             table_name: {
                 neighbour: neighbours[neighbour].get("join")
@@ -322,8 +763,10 @@ class SAJoinGraph:
         config: Optional[D3LConfig] = None,
         workers: Optional[int] = None,
         executor=None,
-        overlap_cache: Optional[Dict[Tuple[AttributeRef, AttributeRef], float]] = None,
+        overlap_cache: Optional[Union[JoinOverlapCache, Dict[OverlapPair, float]]] = None,
         backend: str = "process",
+        previous: Optional["SAJoinGraph"] = None,
+        mutated_tables: Optional[AbstractSet[str]] = None,
     ) -> "SAJoinGraph":
         """Build the SA-join graph from an indexed lake, in batched sweeps.
 
@@ -362,90 +805,45 @@ class SAJoinGraph:
         ``overlap_cache`` maps ``(subject ref, candidate ref)`` pairs to
         overlaps verified by a previous build.  The exact overlap is a pure
         function of the two attributes' value samples, so cached pairs skip
-        verification entirely — the incremental path after a single-table
-        mutation, where the owning engine evicts only the pairs touching the
-        mutated tables.  Freshly verified overlaps are written back into the
-        cache.  Results are identical with or without a (correctly evicted)
-        cache.
-        """
-        from repro.core.parallel import verify_value_overlaps
+        verification entirely.  Freshly verified overlaps are written back
+        into the cache.  Results are identical with or without a (correctly
+        evicted) cache.
 
+        ``previous`` and ``mutated_tables`` make the build an update: given
+        the graph an earlier build of these indexes returned and every
+        table mutated since (a superset is fine), the build keeps the
+        previous probes' candidate pools and edits them per mutated table —
+        drops the table's old attributes, inserts its current ones where
+        each probe's walk reaches them in time — walks only the mutated
+        tables' probes and the pools a removal left short, and verifies only
+        the candidates new to a pool.  The graph equals a full build's.
+        Without either argument, or when ``previous`` kept no pools (a
+        restored graph) or was built under other join settings, every probe
+        is walked.
+        """
         config = config or indexes.config
+        pools = previous._pools if previous is not None else None
+        if (
+            mutated_tables is None
+            or pools is None
+            or pools.settings != _build_settings(config)
+        ):
+            pools = None
+        build = _PoolBuild(indexes, config, pools)
+        if pools is None:
+            walk = list(range(len(build.probes)))
+        else:
+            walk = build.carry(pools, mutated_tables)
+        build.walk(walk)
+        build.verify(overlap_cache, workers, executor, backend)
+        kept = build.finish()
+
         graph = nx.Graph()
         graph.add_nodes_from(indexes.table_names)
-        probes = _subject_probes(indexes)
-        if not probes:
-            return cls(graph)
-
-        signatures = []
-        for _, subject in probes:
-            signature = indexes.signature(EvidenceType.VALUE, subject.ref)
-            if signature is None:
-                signature = indexes.signature_of(EvidenceType.VALUE, subject)
-            signatures.append(signature)
-        per_probe = indexes.multi_lookup(
-            EvidenceType.VALUE,
-            signatures,
-            k=config.join_candidate_pool,
-            exclude_tables=[table_name for table_name, _ in probes],
-        )
-
-        margin = config.join_prefilter_margin
-        prefilter_cutoff = config.overlap_threshold * margin
-        kept_per_probe: List[List[AttributeRef]] = []
-        pairs: List[Tuple[AttributeRef, AttributeRef]] = []
-        samples: Dict[AttributeRef, Set[str]] = {}
-        for (table_name, subject), candidates in zip(probes, per_probe):
-            refs: List[AttributeRef] = []
-            distances: List[float] = []
-            for ref, distance in candidates:
-                other = indexes.profiles.get(ref)
-                if other is None or not other.tokens:
-                    continue
-                refs.append(ref)
-                distances.append(distance)
-            if refs and margin > 0.0:
-                estimates = estimated_overlaps(
-                    1.0 - np.asarray(distances, dtype=np.float64),
-                    len(subject.tokens),
-                    np.asarray(
-                        [len(indexes.profiles[ref].tokens) for ref in refs],
-                        dtype=np.float64,
-                    ),
-                )
-                refs = [
-                    refs[index]
-                    for index in np.flatnonzero(estimates >= prefilter_cutoff)
-                ]
-            kept_per_probe.append(refs)
-            if refs:
-                fresh = [
-                    ref
-                    for ref in refs
-                    if overlap_cache is None or (subject.ref, ref) not in overlap_cache
-                ]
-                if fresh and executor is None:
-                    # The executor routing resolves samples worker-side from
-                    # the attached shared index; only the sample-shipping
-                    # paths need the dictionary built at all.
-                    samples[subject.ref] = subject.value_sample
-                    for ref in fresh:
-                        samples[ref] = indexes.profiles[ref].value_sample
-                pairs.extend((subject.ref, ref) for ref in fresh)
-
-        overlaps = verify_value_overlaps(
-            samples, pairs, workers=workers, executor=executor, backend=backend
-        )
-        if overlap_cache is not None:
-            overlap_cache.update(overlaps)
-            overlaps = overlap_cache
-        for (table_name, subject), refs in zip(probes, kept_per_probe):
-            for ref in refs:
-                overlap = overlaps[(subject.ref, ref)]
-                if overlap < config.overlap_threshold:
-                    continue
-                _apply_edge(graph, table_name, subject.ref, ref, overlap)
-        return cls(graph)
+        for table_name, subject, edges in zip(kept.tables, kept.subjects, kept.edges):
+            for _distance, ref, overlap in edges:
+                _apply_edge(graph, table_name, subject, ref, overlap)
+        return cls(graph, kept)
 
     @classmethod
     def build_sequential(

@@ -45,7 +45,7 @@ import networkx as nx
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
 from repro.core.indexes import D3LIndexes
-from repro.core.joins import JoinEdge, SAJoinGraph
+from repro.core.joins import JoinEdge, JoinOverlapCache, SAJoinGraph
 from repro.lake.datalake import AttributeRef
 
 PathLike = Union[str, Path]
@@ -238,7 +238,7 @@ def _restore_engine(sections: Dict[str, object]) -> D3L:
         engine.restore_join_graph(_restore_join_graph(join_graph))
     # Also an optional late addition: verified join overlaps survive a
     # round-trip so an incremental rebuild after mutation stays cheap.
-    engine._join_overlap_cache = dict(sections.get("join_overlap_cache") or {})
+    engine._join_overlap_cache = JoinOverlapCache(sections.get("join_overlap_cache") or {})
     return engine
 
 

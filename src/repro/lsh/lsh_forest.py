@@ -35,6 +35,23 @@ rows a (prefix length, tree) step newly exposes are the difference of two
 nested ranges; their counts come out as one array, and Python walks only the
 non-empty steps of each query until it holds ``k`` distinct items — so a
 batch returns, element for element, what one-query descents return.
+
+Walk order
+----------
+
+Number the descent's steps ``(key_length - p) * num_trees + t`` for prefix
+length ``p`` and tree ``t``.  A walk first reaches an item at the step of
+the longest prefix the item shares with the query in any tree, in the first
+tree that reaches that length; within a step, items come in the step tree's
+row order (key, then item).  So the first ``k`` items a walk returns are
+the first ``k`` of every live item sorted by ``(step, row in the step's
+tree)``, items sharing no prefix left out — a fixed order per (query, item)
+pair, which is what lets a caller keep a query's pool and edit it when
+items come and go instead of walking again.  :meth:`LSHForest.walk_steps`,
+:meth:`~LSHForest.step_order` and :meth:`~LSHForest.walk_order` expose the
+order; ``multi_query(..., walks=True)`` keeps each walk whole through the
+step that reached ``k``, and :meth:`~LSHForest.edit_walks` brings kept walks
+up to date after inserts and removals.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import islice
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +85,19 @@ _MIN_TOMBSTONES_BEFORE_COMPACTION = 16
 #: bounds it materialises (``block * key_length**2`` keys per tree) stay
 #: small however many queries a batch holds.
 _DESCENT_BLOCK = 64
+
+
+class Walk(NamedTuple):
+    """One query's walk, kept through the step at which it reached ``k``.
+
+    ``items`` are every item the walk collected, in walk order — at least
+    ``k`` of them unless the walk ran out — and ``steps`` (``int32``) the
+    step at which each was first reached.  The query's answer is
+    ``items[:k]``.
+    """
+
+    items: List[Hashable]
+    steps: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -332,6 +362,8 @@ class LSHForest:
         self.num_hashes = num_hashes
         self.num_trees = num_trees
         self.key_length = num_hashes // num_trees
+        #: Steps of a descent; also the step of an item no walk reaches.
+        self.step_count = self.key_length * num_trees
         self.seed = seed
         self._trees = [_PrefixTree(self.key_length) for _ in range(num_trees)]
         self._signatures: Dict[Hashable, np.ndarray] = {}
@@ -411,17 +443,25 @@ class LSHForest:
         return self.query(signature, k=len(self._signatures) + 1, exclude=exclude)
 
     def multi_query(
-        self, signatures: Sequence[Optional[np.ndarray]], k: int
-    ) -> List[List[Hashable]]:
+        self,
+        signatures: Sequence[Optional[np.ndarray]],
+        k: int,
+        walks: bool = False,
+    ) -> List:
         """:meth:`query` for many signatures through one batched descent.
 
         Entry ``i`` equals ``query(signatures[i], k)`` element for element;
-        ``None`` signatures yield empty candidate lists.
+        ``None`` signatures yield empty candidate lists.  ``walks=True``
+        returns each query's :class:`Walk` instead: every item through the
+        step that reached ``k``, with its step (see "Walk order" in the
+        module docstring).
         """
         return [
             found
             for start in range(0, len(signatures), _DESCENT_BLOCK)
-            for found in self._descend(signatures[start : start + _DESCENT_BLOCK], k)
+            for found in self._descend(
+                signatures[start : start + _DESCENT_BLOCK], k, walks=walks
+            )
         ]
 
     def _descend(
@@ -429,9 +469,12 @@ class LSHForest:
         signatures: Sequence[Optional[np.ndarray]],
         k: int,
         exclude: Optional[Hashable] = None,
-    ) -> List[List[Hashable]]:
+        walks: bool = False,
+    ) -> List:
         """The descent behind every query method (see the module docstring)."""
-        results: List[List[Hashable]] = [[] for _ in signatures]
+        results: List = [
+            Walk([], np.empty(0, dtype=np.int32)) if walks else [] for _ in signatures
+        ]
         populated = [
             index for index, signature in enumerate(signatures) if signature is not None
         ]
@@ -463,22 +506,181 @@ class LSHForest:
             (tree_of, low[at], inner_low[at], inner_high[at], high[at]), axis=1
         ).tolist()
         ends = np.searchsorted(query_of, np.arange(1, len(populated) + 1)).tolist()
+        step_ids = (level * self.num_trees + tree_of).astype(np.int32) if walks else None
         start = 0
         for index, end in zip(populated, ends):
             # An insertion-ordered dict dedups a step's items in one C-level
             # pass, hashing each item once.
             found: Dict[Hashable, None] = {}
+            # Items collected after each step: a walk's steps come from these.
+            counts: Optional[List[int]] = [] if walks else None
             for tree_index, step_low, skip_low, skip_high, step_high in steps[start:end]:
                 tree = self._trees[tree_index]
                 found.update(dict.fromkeys(tree.items_between(step_low, skip_low)))
                 found.update(dict.fromkeys(tree.items_between(skip_high, step_high)))
                 if exclude is not None:
                     found.pop(exclude, None)
+                if counts is not None:
+                    counts.append(len(found))
                 if len(found) >= k:
                     break
-            results[index] = list(islice(found, k))
+            if counts is None:
+                results[index] = list(islice(found, k))
+            else:
+                fresh_counts = np.diff(np.asarray(counts, dtype=np.intp), prepend=0)
+                results[index] = Walk(
+                    list(found),
+                    np.repeat(step_ids[start : start + len(counts)], fresh_counts),
+                )
             start = end
         return results
+
+    # ------------------------------------------------------------------ #
+    # walk order (see the module docstring)
+    # ------------------------------------------------------------------ #
+    def walk_keys(self, signatures: Sequence[np.ndarray]) -> np.ndarray:
+        """Tree keys of many query signatures: ``(queries, num_trees, key_length)``."""
+        used = self.num_trees * self.key_length
+        keys = np.empty((len(signatures), self.num_trees, self.key_length), dtype=np.uint64)
+        for row, signature in enumerate(signatures):
+            keys[row] = np.asarray(signature)[:used].reshape(self.num_trees, self.key_length)
+        return keys
+
+    def walk_steps(self, keys: np.ndarray, signatures: Sequence[np.ndarray]) -> np.ndarray:
+        """The step at which each query's walk reaches each signature's item.
+
+        ``keys`` are :meth:`walk_keys` of the queries.  Entry ``[q, i]`` of
+        the ``(queries, items)`` ``int32`` result is
+        ``(key_length - p) * num_trees + t`` for the longest prefix ``p``
+        item ``i`` shares with query ``q`` in any tree and the first tree
+        ``t`` sharing it, or :attr:`step_count` when it shares none — one
+        vectorized prefix comparison for every (query, item, tree).
+        """
+        items = self.walk_keys(signatures)
+        equal = keys[:, np.newaxis] == items[np.newaxis]
+        # Shared prefix length: the first differing position, or all of it.
+        shared = np.where(equal.all(axis=3), self.key_length, equal.argmin(axis=3))
+        longest = shared.max(axis=2)
+        first_tree = (shared == longest[..., np.newaxis]).argmax(axis=2)
+        steps = (self.key_length - longest) * self.num_trees + first_tree
+        steps[longest == 0] = self.step_count
+        return steps.astype(np.int32)
+
+    def step_order(self, step: int) -> Callable[[Hashable], int]:
+        """Sort key of the live items a walk reaches at ``step``.
+
+        A step's items come in its tree's row order — key, then item — so
+        the key is the item's current row there.  Rows shift when the tree
+        merges or compacts, but never reorder, so keys compare only within
+        one call's result.
+        """
+        tree = self._trees[step % self.num_trees]
+        tree._ensure_flushed()
+        return tree._row_of.__getitem__
+
+    def edit_walks(
+        self,
+        walks: np.ndarray,
+        entries: np.ndarray,
+        steps: np.ndarray,
+        count: int,
+        gone: np.ndarray,
+        arrived: np.ndarray,
+        reached: np.ndarray,
+        k: int,
+        item_of: Callable[[int], Hashable],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Bring ``count`` kept walks up to date after items came and went.
+
+        The walks arrive flattened: entry ``e`` (an integer code that
+        ``item_of`` maps to its item) belongs to walk ``walks[e]`` and was
+        reached at ``steps[e]``, walks in order and each in walk order, as
+        ``multi_query(..., walks=True)`` kept them.  ``gone`` marks the
+        entries whose items left the forest; ``arrived`` are the codes of
+        items inserted since, and ``reached[w, i]`` the step at which walk
+        ``w`` reaches arrival ``i`` (:meth:`walk_steps`).
+
+        A kept walk holds every item through the step that reached ``k``
+        (every reachable item when it ran out first), so an arrival joins a
+        walk when it is reached by that step, in walk order; then each walk
+        is cut after the step of its ``k``-th item.  That equals the walk a
+        new descent keeps, except for a walk that had stopped early and now
+        holds fewer than ``k`` items: the items past its stop are unknown.
+        Returns the edited ``(walks, entries, steps)``, the input index of
+        each kept entry (-1 for an arrival) and, per walk, whether it must
+        walk again (its entries are dropped).
+        """
+        last_step = self.step_count - 1
+        lengths = np.bincount(walks, minlength=count)
+        ends = np.cumsum(lengths)
+        stops = np.full(count, last_step, dtype=np.int64)
+        full = lengths >= k
+        stops[full] = steps[ends[full] - 1]
+        came_walks, came = np.nonzero(reached <= stops[:, np.newaxis])
+        came_steps = reached[came_walks, came]
+        came_entries = arrived[came]
+        origin = np.flatnonzero(~gone)
+        walks, entries, steps = walks[origin], entries[origin], steps[origin]
+        # Place each arrival after the kept entries before it in walk order.
+        # Within a step that is the step tree's row order, looked up only
+        # where an arrival meets kept entries or other arrivals of its step.
+        span = np.int64(self.step_count + 1)
+        kept_keys = walks * span + steps
+        came_keys = came_walks * span + came_steps
+        low = np.searchsorted(kept_keys, came_keys, side="left")
+        high = np.searchsorted(kept_keys, came_keys, side="right")
+        repeated = np.sort(came_keys)
+        repeated = repeated[1:][repeated[1:] == repeated[:-1]]
+        ranks = np.zeros(len(came_keys), dtype=np.int64)
+        for index in np.flatnonzero((low < high) | np.isin(came_keys, repeated)).tolist():
+            order = self.step_order(int(came_steps[index]))
+            rank = ranks[index] = order(item_of(int(came_entries[index])))
+            start, stop = int(low[index]), int(high[index])
+            while start < stop:
+                middle = (start + stop) // 2
+                if order(item_of(int(entries[middle]))) < rank:
+                    start = middle + 1
+                else:
+                    stop = middle
+            low[index] = start
+        # Arrivals sharing an insertion point — the end of one walk is the
+        # start of the next — go by walk, then in walk order.
+        order = np.lexsort((ranks, came_keys, low))
+        at = low[order]
+        walks = np.insert(walks, at, came_walks[order])
+        entries = np.insert(entries, at, came_entries[order])
+        steps = np.insert(steps, at, came_steps[order])
+        origin = np.insert(origin, at, -1)
+        lengths = np.bincount(walks, minlength=count)
+        full = lengths >= k
+        rewalk = ~full & (stops < last_step)
+        # Cut each full walk after the step of its k-th item.
+        cut = np.full(count, last_step, dtype=np.int64)
+        cut[full] = steps[(np.cumsum(lengths) - lengths)[full] + k - 1]
+        keep = (steps <= cut[walks]) & ~rewalk[walks]
+        return walks[keep], entries[keep], steps[keep], origin[keep], rewalk
+
+    def walk_order(self, signature: np.ndarray) -> List[Hashable]:
+        """Every live item a walk from ``signature`` reaches, in walk order.
+
+        ``walk_order(signature)[:k] == query(signature, k)``: the order the
+        module docstring describes, spelled out over the whole forest.
+        """
+        items = self.keys()
+        if not items:
+            return []
+        steps = self.walk_steps(
+            self.walk_keys([signature]), [self._signatures[item] for item in items]
+        )[0].tolist()
+        # Step t < num_trees is tree t's first step: one order per tree.
+        orders = [self.step_order(tree) for tree in range(self.num_trees)]
+        reached = [
+            (step, orders[step % self.num_trees](item), position)
+            for position, (step, item) in enumerate(zip(steps, items))
+            if step < self.step_count
+        ]
+        reached.sort()
+        return [items[position] for _, _, position in reached]
 
     def keys(self) -> List[Hashable]:
         """All inserted keys."""

@@ -239,6 +239,18 @@ class TestEstimatedOverlapsVectorized:
                 estimated_overlap(float(jaccard[index]), 120, int(sizes[index]))
             )
 
+    def test_per_pair_sizes_equal_per_probe_calls(self):
+        rng = np.random.default_rng(5)
+        jaccard = rng.uniform(-0.1, 1.0, size=60)
+        sizes_a = rng.integers(0, 150, size=60)
+        sizes_b = rng.integers(0, 200, size=60)
+        batched = estimated_overlaps(jaccard, sizes_a, sizes_b)
+        for index in range(60):
+            single = estimated_overlaps(
+                jaccard[index : index + 1], int(sizes_a[index]), sizes_b[index : index + 1]
+            )
+            assert batched[index] == single[0]
+
     def test_empty_input(self):
         assert estimated_overlaps(np.empty(0), 10, np.empty(0)).shape == (0,)
 
@@ -637,3 +649,286 @@ class TestFrozenJoinGraph:
         assert nx.is_frozen(graph.graph)
         for table_name in graph.table_names:
             assert graph.neighbours(table_name) == sorted(graph.graph.neighbors(table_name))
+
+
+# --------------------------------------------------------------------------- #
+# per-table updates of the SA-join graph
+# --------------------------------------------------------------------------- #
+
+#: A pool this small truncates most probes' walks on a 16-table lake, so
+#: updates insert into, trim and drain pools (128 never truncates there).
+SMALL_POOL = 6
+
+
+def _small_pool_engine(tables, margin=0.5):
+    from repro.core.config import D3LConfig
+    from repro.core.discovery import D3L
+    from repro.lake.datalake import DataLake
+
+    config = D3LConfig(
+        num_hashes=128,
+        num_trees=8,
+        min_candidates=25,
+        embedding_dimension=32,
+        join_candidate_pool=SMALL_POOL,
+        join_prefilter_margin=margin,
+    )
+    engine = D3L(config=config)
+    engine.index_lake(DataLake("small-pool", list(tables)))
+    return engine
+
+
+def _kept_state(graph):
+    """Every probe's kept pool and edges, by table."""
+    pools = graph._pools
+    return {
+        table_name: (pools.pool(table_name), pools.edges[row])
+        for row, table_name in enumerate(pools.tables)
+    }
+
+
+def _drained(engine, graph, removed_table):
+    """Pools whose walk stopped early that removing ``removed_table`` leaves short."""
+    last_step = engine.indexes.forest(EvidenceType.VALUE).step_count - 1
+    drained = 0
+    for table_name in graph._pools.tables:
+        pool = graph._pools.pool(table_name)
+        if table_name == removed_table or len(pool) < SMALL_POOL or pool[-1][1] == last_step:
+            continue
+        if sum(ref.table != removed_table for ref, _ in pool) < SMALL_POOL:
+            drained += 1
+    return drained
+
+
+@pytest.fixture()
+def descents(monkeypatch):
+    """Signatures walked by kept-walk descents (the SA-join graph's probes)."""
+    from repro.lsh.lsh_forest import LSHForest
+
+    counted = []
+    original = LSHForest.multi_query
+
+    def counting(self, signatures, k, walks=False):
+        if walks:
+            counted.append(sum(signature is not None for signature in signatures))
+        return original(self, signatures, k, walks)
+
+    monkeypatch.setattr(LSHForest, "multi_query", counting)
+    return counted
+
+
+class TestIncrementalUpdate:
+    """An update after writes equals a full build: edges, pools and all.
+
+    Each step's graph comes from :meth:`SAJoinGraph.build` editing the
+    previous build's pools; it must equal a fresh build over the same
+    indexes — and, with the prefilter off, the scalar oracle.
+    """
+
+    def _assert_fresh(self, engine, margin, descents):
+        """The engine's graph, checked; returns it and the probes it walked."""
+        descents.clear()
+        graph = engine.join_graph
+        walked = sum(descents)
+        fresh = SAJoinGraph.build(engine.indexes, engine.config)
+        assert edge_map(graph) == edge_map(fresh)
+        assert _kept_state(graph) == _kept_state(fresh)
+        if margin == 0.0:
+            sequential = SAJoinGraph.build_sequential(engine.indexes, engine.config)
+            assert edge_map(graph) == edge_map(sequential)
+        return graph, walked
+
+    @pytest.mark.parametrize("seed, margin", [(11, 0.5), (12, 0.0), (13, 0.5), (14, 0.0)])
+    def test_random_writes_equal_a_fresh_build(
+        self, small_synthetic_benchmark, descents, seed, margin
+    ):
+        import random
+
+        rng = random.Random(seed)
+        tables = list(small_synthetic_benchmark.lake.tables)
+        live = {table.name: table for table in tables[:16]}
+        originals = sorted(live)
+        spare = tables[16:]
+        engine = _small_pool_engine(live.values(), margin)
+        try:
+            graph, _ = self._assert_fresh(engine, margin, descents)
+            truncated = sum(
+                len(pool) >= SMALL_POOL for pool, _ in _kept_state(graph).values()
+            )
+            assert truncated > len(live) // 2
+            drains = 0
+            ops = ["drain"] + [
+                rng.choice(["add", "remove", "reindex", "drain"]) for _ in range(11)
+            ]
+            for step, op in enumerate(ops):
+                if op == "add":
+                    table = rng.choice(spare).with_name(f"added_{seed}_{step}")
+                    live[table.name] = table
+                    engine.index_table(table)
+                elif op == "reindex":
+                    name = rng.choice(sorted(live))
+                    live[name] = rng.choice(tables).with_name(name)
+                    engine.index_table(live[name])
+                elif len(live) > 10:
+                    candidates = [name for name in originals if name in live]
+                    if op == "drain":
+                        # The original table whose removal drains most pools.
+                        name = max(
+                            candidates, key=lambda name: _drained(engine, graph, name)
+                        )
+                        drains += _drained(engine, graph, name)
+                    else:
+                        name = rng.choice(candidates)
+                    del live[name]
+                    assert engine.remove_table(name)
+                graph, walked = self._assert_fresh(engine, margin, descents)
+                assert walked <= len(live)
+            assert drains > 0
+        finally:
+            engine.close()
+
+    def test_a_write_descends_for_its_probe_and_drained_pools_only(
+        self, small_synthetic_benchmark, descents
+    ):
+        tables = list(small_synthetic_benchmark.lake.tables)
+        engine = _small_pool_engine(tables[:16])
+        try:
+            graph = engine.join_graph
+            engine.index_table(tables[20].with_name("written"))
+            descents.clear()
+            graph = engine.join_graph
+            assert descents == [1]
+            probes = len(graph._pools.tables)
+            for name in sorted(graph._pools.tables)[:6]:
+                expected = _drained(engine, graph, name)
+                engine.remove_table(name)
+                descents.clear()
+                graph = engine.join_graph
+                assert sum(descents) == expected < probes - 1
+                assert edge_map(graph) == edge_map(
+                    SAJoinGraph.build(engine.indexes, engine.config)
+                )
+        finally:
+            engine.close()
+
+    def test_writes_past_the_journal_window_rebuild_fully(
+        self, small_synthetic_benchmark, descents
+    ):
+        from repro.core.indexes import _MUTATION_LOG_LIMIT
+
+        tables = list(small_synthetic_benchmark.lake.tables)
+        engine = _small_pool_engine(tables[:16])
+        try:
+            engine.join_graph
+            extra = tables[20].with_name("churned")
+            for write in range(_MUTATION_LOG_LIMIT + 2):
+                if write % 2:
+                    engine.remove_table(extra.name)
+                else:
+                    engine.index_table(extra)
+            assert engine.indexes.mutated_tables_since(engine._join_graph_version) is None
+            graph, walked = self._assert_fresh(engine, 0.5, descents)
+            assert walked == len(graph._pools.tables)
+        finally:
+            engine.close()
+
+    def test_a_write_after_load_engine_rebuilds_then_updates(
+        self, small_synthetic_benchmark, descents, tmp_path
+    ):
+        from repro.core.persistence import load_engine, save_engine
+
+        tables = list(small_synthetic_benchmark.lake.tables)
+        engine = _small_pool_engine(tables[:16])
+        try:
+            engine.join_graph
+            save_engine(engine, tmp_path / "engine.pkl")
+        finally:
+            engine.close()
+        loaded = load_engine(tmp_path / "engine.pkl")
+        try:
+            assert loaded.join_graph._pools is None
+            loaded.index_table(tables[21].with_name("after_load"))
+            graph, walked = self._assert_fresh(loaded, 0.5, descents)
+            assert walked == len(graph._pools.tables)
+            loaded.remove_table(tables[0].name)
+            _, walked = self._assert_fresh(loaded, 0.5, descents)
+            assert walked < len(graph._pools.tables) // 2
+        finally:
+            loaded.close()
+
+
+class TestJoinOverlapCache:
+    @staticmethod
+    def _random_overlaps(rng, tables=6, columns=3, pairs=60):
+        refs = [
+            AttributeRef(f"t{table}", f"c{column}")
+            for table in range(tables)
+            for column in range(columns)
+        ]
+        overlaps = {}
+        while len(overlaps) < pairs:
+            left, right = rng.sample(refs, 2)
+            overlaps[(left, right)] = round(rng.random(), 3)
+        return overlaps
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_eviction_equals_the_dict_comprehension(self, seed):
+        import random
+
+        from repro.core.joins import JoinOverlapCache
+
+        rng = random.Random(seed)
+        expected = self._random_overlaps(rng)
+        cache = JoinOverlapCache(expected)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                fresh = self._random_overlaps(rng, pairs=10)
+                cache.update(fresh)
+                expected.update(fresh)
+            table_name = f"t{rng.randrange(7)}"
+            cache.evict_table(table_name)
+            expected = {
+                pair: overlap
+                for pair, overlap in expected.items()
+                if pair[0].table != table_name and pair[1].table != table_name
+            }
+            assert dict(cache) == expected
+            assert len(cache) == len(expected)
+            assert all(pair in cache for pair in expected)
+            # Pairs evicted under one table stay listed under the other
+            # until the lists are rebuilt; live ones never outnumber them.
+            assert cache._listed <= 4 * len(cache)
+        cache.clear()
+        assert dict(cache) == {}
+
+    def test_engine_cache_round_trips_through_a_v3_payload(self, fast_config, tmp_path):
+        from repro.core.discovery import D3L
+        from repro.core.joins import JoinOverlapCache
+        from repro.core.persistence import load_engine, save_engine
+        from repro.datagen.synthetic_benchmark import (
+            SyntheticBenchmarkConfig,
+            generate_synthetic_benchmark,
+        )
+
+        corpus = generate_synthetic_benchmark(
+            SyntheticBenchmarkConfig(
+                num_base_tables=3, tables_per_base=3, base_rows=40,
+                min_rows=15, max_rows=30, seed=33,
+            )
+        )
+        with D3L(config=fast_config) as engine:
+            engine.index_lake(corpus.lake)
+            engine.join_graph
+            assert len(engine._join_overlap_cache) > 0
+            save_engine(engine, tmp_path / "engine.pkl")
+            expected = dict(engine._join_overlap_cache)
+        with load_engine(tmp_path / "engine.pkl") as loaded:
+            assert isinstance(loaded._join_overlap_cache, JoinOverlapCache)
+            assert dict(loaded._join_overlap_cache) == expected
+            victim = corpus.lake.tables[0].name
+            loaded.remove_table(victim)
+            assert dict(loaded._join_overlap_cache) == {
+                pair: overlap
+                for pair, overlap in expected.items()
+                if victim not in (pair[0].table, pair[1].table)
+            }

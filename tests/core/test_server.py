@@ -668,3 +668,53 @@ class TestMutationVisibility:
         assert status == 200
         assert "served_extra" not in [r["table"] for r in payload["results"]]
         assert payload == _oracle_payload(mutable_server.engine, request)
+
+
+class TestServedJoinsAfterWrites:
+    """Process workers update their own SA-join graphs after each delta.
+
+    Each worker builds its graph on its first joins request; later writes
+    reach it as journal deltas, and its next joins request edits that
+    graph for the written tables.  A pool of 6 candidates truncates the
+    walks on this lake, so the updates insert into and drain pools.  Every
+    joins-and-explain payload must stay byte-identical to the in-process
+    session's.
+    """
+
+    def test_joins_payloads_match_in_process_after_every_write(
+        self, small_synthetic_benchmark, fast_config
+    ):
+        import dataclasses
+
+        from repro.core.discovery import D3L
+        from repro.lake.datalake import DataLake
+
+        tables = small_synthetic_benchmark.lake.tables
+        engine = D3L(config=dataclasses.replace(fast_config, join_candidate_pool=6))
+        engine.index_lake(DataLake("served-joins", tables[:14]))
+        requests = [
+            QueryRequest(target=target, k=4, joins=True, explain=True)
+            for target in tables[:3]
+        ]
+
+        def served_equals_in_process(server):
+            for request in requests:
+                # Sequential submits take the idle workers in turn.
+                for _ in range(server.worker_count):
+                    payload = server.submit(request)
+                    assert json.dumps(payload) == json.dumps(
+                        _oracle_payload(engine, request)
+                    )
+
+        writes = [
+            lambda: engine.index_table(tables[20].with_name("joins_extra")),
+            lambda: engine.remove_table(tables[6].name),
+            lambda: engine.index_table(tables[22].with_name(tables[8].name)),
+            lambda: engine.remove_table("joins_extra"),
+            lambda: engine.index_table(tables[6]),
+        ]
+        with DiscoveryServer(engine, port=0, workers=2, backend="process") as server:
+            served_equals_in_process(server)
+            for write in writes:
+                write()
+                served_equals_in_process(server)
