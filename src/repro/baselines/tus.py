@@ -124,7 +124,7 @@ class TableUnionSearch:
             self._minhash_factory.from_tokens(classes) if classes else None
         )
 
-        vectors = [self.embedding_model.vector(token) for token in sorted(tokens)]
+        vectors = self.embedding_model.vectors(sorted(tokens))
         embedding = aggregate_vectors(vectors, self.embedding_model.dimension)
         embedding_signature = (
             self._projection_factory.from_vector(embedding) if np.any(embedding) else None

@@ -104,7 +104,7 @@ class AttributeProfile:
             value_sample: Set[str] = set()
         else:
             tokens, frequent_tokens = informative_and_frequent_tokens(values)
-            vectors = [embedding_model.vector(token) for token in sorted(frequent_tokens)]
+            vectors = embedding_model.vectors(sorted(frequent_tokens))
             embedding = aggregate_vectors(vectors, embedding_model.dimension)
             # A bounded sample of distinct whole values, used to verify the
             # partial inclusion dependencies behind SA-joinability.

@@ -16,15 +16,43 @@ substitutes that preserve the properties D3L depends on:
   words fall back to the subword model, exactly as fastText backs off to
   subword units.
 
-Both expose ``vector(word)`` returning an L2-normalised ``p``-vector, and
-:func:`aggregate_vectors` combines per-word vectors into the attribute vector
-of Algorithm 1.
+Both expose ``vector(word)`` returning an L2-normalised ``p``-vector and
+``vectors(words)``, its batched form, and :func:`aggregate_vectors` combines
+per-word vectors into the attribute vector of Algorithm 1.
+
+The subword draw
+----------------
+A subword's vector is ``np.random.default_rng(seed).standard_normal(p)``,
+``seed`` being the n-gram's keyed blake2b digest.  Building a ``Generator``
+per n-gram costs most of that draw (SeedSequence construction, whose
+``generate_state`` runs under an ``np.errstate`` block), so
+:func:`_standard_normal_rows` draws a batch of seeds through one ``PCG64``
+and reaches each seed's starting state directly:
+
+1. SeedSequence's pool mixing and ``generate_state(4, np.uint64)``
+   (``numpy/random/bit_generator.pyx``) run over the whole batch as
+   ``uint32`` array arithmetic.  Their hash constants evolve independently
+   of the data, and array products wrap mod ``2**32`` as the scalar code's
+   do.  A seed below ``2**32`` is one entropy word to SeedSequence, and a
+   pool word without entropy is mixed from a zero, so every seed is taken
+   as two words, low first.
+2. PCG64's seeding (``pcg64_set_seed``: ``srandom`` with the first two
+   state words as ``initstate`` and the last two as ``initseq``) runs in
+   128-bit Python ints, giving the ``(state, inc)`` pair per seed.
+3. Each pair is assigned through ``PCG64.state`` and the row filled by
+   NumPy's own ``Generator.standard_normal(out=...)``.
+
+NumPy's stream-compatibility policy fixes SeedSequence's and PCG64's
+seeding, so row ``i`` equals ``default_rng(seed_i).standard_normal(p)`` bit
+for bit; ``tests/text/test_embeddings.py`` keeps that formula as the oracle.
+A word's vector is then the normalised mean of its contiguous block of rows,
+the same ``(n, p)`` block and summation as stacking the draws one by one.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +65,84 @@ class WordEmbeddingModel(Protocol):
     def vector(self, word: str) -> np.ndarray:
         """Return the embedding vector of ``word`` (never raises for OOV)."""
         ...
+
+    def vectors(self, words: Sequence[str]) -> List[np.ndarray]:
+        """``[self.vector(word) for word in words]``, computed in one batch."""
+        ...
+
+
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = 16
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, multiplier: int) -> Iterator[Tuple[np.uint32, np.uint32]]:
+    """SeedSequence's running hash constant, as ``(xor, multiply)`` per round:
+    a round xors in the constant, advances it, then multiplies by the new one."""
+    constant = init
+    while True:
+        advanced = (constant * multiplier) & _MASK32
+        yield np.uint32(constant), np.uint32(advanced)
+        constant = advanced
+
+
+def _hashmix(value: np.ndarray, constants: Iterator[Tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    xor, multiply = next(constants)
+    value = (value ^ xor) * multiply
+    return value ^ (value >> _XSHIFT)
+
+
+def _pcg64_states(seeds: np.ndarray) -> List[Tuple[int, int]]:
+    """PCG64's ``(state, inc)`` as ``np.random.default_rng(seed)`` seeds it,
+    for every ``uint64`` seed."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = ((seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    # SeedSequence.mix_entropy
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, constants) for word in entropy]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                mixed = _MIX_MULT_L * pool[target] - _MIX_MULT_R * _hashmix(pool[source], constants)
+                pool[target] = mixed ^ (mixed >> _XSHIFT)
+    # SeedSequence.generate_state(4, np.uint64): eight uint32 words read as
+    # four little-endian uint64 words.
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    state_words = [(words[2 * i] | (words[2 * i + 1] << 32)).tolist() for i in range(4)]
+    # pcg64_set_seed: srandom(initstate = w0:w1, initseq = w2:w3).
+    states = []
+    for high, low, seq_high, seq_low in zip(*state_words):
+        inc = ((((seq_high << 64) | seq_low) << 1) | 1) & _MASK128
+        state = ((inc + ((high << 64) | low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _standard_normal_rows(seeds: np.ndarray, dimension: int) -> np.ndarray:
+    """Row ``i`` is ``np.random.default_rng(seeds[i]).standard_normal(dimension)``."""
+    rows = np.empty((len(seeds), dimension), dtype=np.float64)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    position = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": position, "has_uint32": 0, "uinteger": 0}
+    for row, (seeded, inc) in zip(rows, _pcg64_states(seeds)):
+        position["state"] = seeded
+        position["inc"] = inc
+        bit_generator.state = state
+        generator.standard_normal(out=row)
+    return rows
 
 
 def _normalise(vector: np.ndarray) -> np.ndarray:
@@ -81,14 +187,16 @@ class HashingSubwordEmbedding:
         self._cache: Dict[str, np.ndarray] = {}
         self._cache_size = cache_size
 
-    def _subword_vector(self, ngram: str) -> np.ndarray:
-        digest = hashlib.blake2b(
-            ngram.encode("utf-8", errors="replace"),
-            digest_size=8,
-            key=self.seed.to_bytes(8, "little", signed=False),
-        ).digest()
-        generator = np.random.default_rng(int.from_bytes(digest, "little"))
-        return generator.standard_normal(self.dimension)
+    def _subword_seeds(self, ngrams: Sequence[str]) -> np.ndarray:
+        """Each n-gram's draw seed: its blake2b digest keyed by the model seed."""
+        key = self.seed.to_bytes(8, "little", signed=False)
+        digests = b"".join(
+            hashlib.blake2b(
+                ngram.encode("utf-8", errors="replace"), digest_size=8, key=key
+            ).digest()
+            for ngram in ngrams
+        )
+        return np.frombuffer(digests, dtype="<u8")
 
     def _ngrams(self, word: str) -> List[str]:
         padded = f"<{word}>"
@@ -104,18 +212,40 @@ class HashingSubwordEmbedding:
 
     def vector(self, word: str) -> np.ndarray:
         """Embedding of ``word``: the normalised mean of its subword vectors."""
-        word = word.strip().lower()
-        if not word:
-            return np.zeros(self.dimension, dtype=np.float64)
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        grams = self._ngrams(word)
-        vectors = np.vstack([self._subword_vector(gram) for gram in grams])
-        result = _normalise(vectors.mean(axis=0))
-        if len(self._cache) < self._cache_size:
-            self._cache[word] = result
-        return result
+        return self.vectors([word])[0]
+
+    def vectors(self, words: Sequence[str]) -> List[np.ndarray]:
+        """The embedding of every word, drawing all uncached subwords in one batch.
+
+        Words are case- and whitespace-normalised; an empty word embeds as
+        the zero vector.  New words enter the cache in order until it holds
+        ``cache_size`` words.
+        """
+        keys = [word.strip().lower() for word in words]
+        found: Dict[str, np.ndarray] = {}
+        fresh: List[str] = []
+        for key in dict.fromkeys(keys):
+            cached = self._cache.get(key)
+            if cached is not None:
+                found[key] = cached
+            elif key:
+                fresh.append(key)
+        if fresh:
+            grams = [self._ngrams(key) for key in fresh]
+            rows = _standard_normal_rows(
+                self._subword_seeds([gram for word_grams in grams for gram in word_grams]),
+                self.dimension,
+            )
+            stop = 0
+            for key, word_grams in zip(fresh, grams):
+                start, stop = stop, stop + len(word_grams)
+                vector = _normalise(rows[start:stop].mean(axis=0))
+                found[key] = vector
+                if len(self._cache) < self._cache_size:
+                    self._cache[key] = vector
+        return [
+            found[key] if key else np.zeros(self.dimension, dtype=np.float64) for key in keys
+        ]
 
 
 class CooccurrenceEmbedding:
@@ -151,6 +281,12 @@ class CooccurrenceEmbedding:
         if trained is not None:
             return trained
         return self._fallback.vector(key)
+
+    def vectors(self, words: Sequence[str]) -> List[np.ndarray]:
+        """Per-word :meth:`vector`, with every fallback word in one subword batch."""
+        keys = [word.strip().lower() for word in words]
+        fallback = iter(self._fallback.vectors([key for key in keys if key not in self._vectors]))
+        return [self._vectors[key] if key in self._vectors else next(fallback) for key in keys]
 
     @classmethod
     def train(

@@ -69,9 +69,13 @@ def format_string(value: str) -> str:
 
 
 def format_set(values: Sequence[str]) -> Set[str]:
-    """The rset of an attribute: format strings of every value in its extent."""
+    """The rset of an attribute: format strings of every value in its extent.
+
+    Each distinct value is formatted once, in order of first occurrence, so
+    the set is filled in the same order as formatting every value would.
+    """
     result: Set[str] = set()
-    for value in values:
+    for value in dict.fromkeys(str(value) for value in values if value is not None):
         rendered = format_string(value)
         if rendered:
             result.add(rendered)

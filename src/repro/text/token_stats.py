@@ -28,10 +28,13 @@ class TokenHistogram:
         self._counts: Counter = Counter()
         self._total_values = 0
 
-    def insert(self, tokens: Iterable[str]) -> None:
-        """Record the tokens of one value."""
-        self._counts.update(tokens)
-        self._total_values += 1
+    def insert(self, tokens: Iterable[str], times: int = 1) -> None:
+        """Record the tokens of one value, repeated ``times`` in the extent."""
+        if times == 1:
+            self._counts.update(tokens)
+        else:
+            self._counts.update({token: count * times for token, count in Counter(tokens).items()})
+        self._total_values += times
 
     def count(self, token: str) -> int:
         """Number of occurrences of ``token`` across the extent."""
@@ -87,14 +90,17 @@ def informative_and_frequent_tokens(values: Sequence[str]) -> Tuple[Set[str], Se
     * the embedding-token set receives, for each part, the word with the most
       occurrences across the extent (same deterministic tie-breaking).
 
+    Each distinct value is tokenized once and its tokens counted as often
+    as it repeats; repeats select the same words again, so they add nothing.
+
     Returns ``(tset, embedding_tokens)``.
     """
     histogram = TokenHistogram()
     per_value_parts: List[List[List[str]]] = []
-    for value in values:
-        parts = tokenize_parts(str(value))
+    for value, times in Counter(map(str, values)).items():
+        parts = tokenize_parts(value)
         per_value_parts.append(parts)
-        histogram.insert([token for part in parts for token in part])
+        histogram.insert([token for part in parts for token in part], times=times)
 
     tset: Set[str] = set()
     embedding_tokens: Set[str] = set()
@@ -116,7 +122,7 @@ def value_token_set(values: Sequence[str]) -> Set[str]:
     exposing this here lets the baselines share the tokenizer.
     """
     tokens: Set[str] = set()
-    for value in values:
-        for part in tokenize_parts(str(value)):
+    for value in dict.fromkeys(map(str, values)):
+        for part in tokenize_parts(value):
             tokens.update(part)
     return tokens

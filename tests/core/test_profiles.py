@@ -8,7 +8,10 @@ from repro.core.evidence import EvidenceType
 from repro.core.profiles import AttributeMatch, AttributeProfile
 from repro.lake.datalake import AttributeRef
 from repro.tables.column import Column
-from repro.text.embeddings import HashingSubwordEmbedding
+from repro.text.embeddings import HashingSubwordEmbedding, aggregate_vectors
+from tests.text.test_embeddings import reference_vector
+from tests.text.test_regex_format import reference_format_set
+from tests.text.test_token_stats import reference_informative_and_frequent_tokens
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,33 @@ class TestNumericProfile:
     def test_name_and_format_still_available(self, patients_profile):
         assert patients_profile.qgrams
         assert patients_profile.formats
+
+
+class TestReferenceProfiles:
+    """Profiles equal those of the per-value, per-subword oracle helpers."""
+
+    def test_every_column_of_a_synthetic_lake(self, small_synthetic_benchmark, config):
+        model = HashingSubwordEmbedding(dimension=config.embedding_dimension)
+        oracle = HashingSubwordEmbedding(dimension=config.embedding_dimension)
+        columns = 0
+        for table in small_synthetic_benchmark.lake.tables:
+            for column in table.columns:
+                profile = _profile(column, config, model, table_name=table.name)
+                values = column.non_missing
+                assert profile.formats == reference_format_set(values)
+                if column.is_numeric:
+                    tokens, frequent = set(), set()
+                else:
+                    tokens, frequent = reference_informative_and_frequent_tokens(values)
+                    columns += 1
+                embedding = aggregate_vectors(
+                    [reference_vector(oracle, token) for token in sorted(frequent)],
+                    config.embedding_dimension,
+                )
+                assert profile.tokens == tokens
+                assert profile.embedding.dtype == embedding.dtype
+                assert np.array_equal(profile.embedding, embedding)
+        assert columns > 50
 
 
 class TestTableProfile:

@@ -1,10 +1,69 @@
 """Tests for token histograms and informative-token selection."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.text.token_stats import (
     TokenHistogram,
     informative_and_frequent_tokens,
     value_token_set,
 )
+from repro.text.tokenizer import tokenize_parts
+
+
+def reference_informative_and_frequent_tokens(values):
+    """Oracle: Algorithm 1's token pass, one value at a time."""
+    histogram = TokenHistogram()
+    per_value_parts = []
+    for value in values:
+        parts = tokenize_parts(str(value))
+        per_value_parts.append(parts)
+        histogram.insert([token for part in parts for token in part])
+
+    tset = set()
+    embedding_tokens = set()
+    for parts in per_value_parts:
+        for part in parts:
+            if not part:
+                continue
+            rarest = min(part, key=lambda token: (histogram.count(token), -len(token), token))
+            commonest = max(part, key=lambda token: (histogram.count(token), len(token), token))
+            tset.add(rarest)
+            embedding_tokens.add(commonest)
+    return tset, embedding_tokens
+
+
+def reference_value_token_set(values):
+    tokens = set()
+    for value in values:
+        for part in tokenize_parts(str(value)):
+            tokens.update(part)
+    return tokens
+
+
+#: Extents of a few values repeated many times, with whitespace-only,
+#: punctuation-only and case-variant values in the mix.
+repetitive_extents = st.lists(
+    st.one_of(
+        st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=30),
+        st.sampled_from(
+            [
+                "",
+                " ",
+                "\t \n",
+                "--",
+                "/.,;",
+                "Salford",
+                "SALFORD",
+                "salford",
+                "18 Portland Street, M1 3BE",
+                "18 portland STREET, m1 3be",
+                "a b a, b",
+            ]
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40))
 
 
 class TestTokenHistogram:
@@ -49,6 +108,14 @@ class TestTokenHistogram:
         histogram.insert(["a", "a", "b"])
         assert histogram.most_common(1) == [("a", 2)]
 
+    def test_insert_times_equals_repeated_inserts(self):
+        repeated, weighted = TokenHistogram(), TokenHistogram()
+        for _ in range(3):
+            repeated.insert(["a", "b", "a"])
+        weighted.insert(["a", "b", "a"], times=3)
+        assert weighted.as_dict() == repeated.as_dict() == {"a": 6, "b": 3}
+        assert weighted.total_values == repeated.total_values == 3
+
 
 class TestInformativeTokens:
     def test_paper_example_addresses(self):
@@ -86,6 +153,24 @@ class TestInformativeTokens:
         assert "salford" in embedding_tokens
         assert "bolton" in tset
 
+    def test_repeats_weight_the_counts(self):
+        # "a" is commoner than "b" only when the repeated value counts twice.
+        values = ["a b", "a b", "b c", "a"]
+        assert informative_and_frequent_tokens(values) == (
+            reference_informative_and_frequent_tokens(values)
+        )
+        assert informative_and_frequent_tokens(values)[1] == {"a", "b"}
+
+    @given(repetitive_extents)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_value_reference(self, values):
+        # Equal iteration order too: the sets are filled in the same order,
+        # so a pickled profile is byte-identical.
+        tset, embedding_tokens = informative_and_frequent_tokens(values)
+        expected_tset, expected_tokens = reference_informative_and_frequent_tokens(values)
+        assert list(tset) == list(expected_tset)
+        assert list(embedding_tokens) == list(expected_tokens)
+
 
 class TestValueTokenSet:
     def test_union_of_all_tokens(self):
@@ -97,3 +182,8 @@ class TestValueTokenSet:
 
     def test_lowercased(self):
         assert value_token_set(["SALFORD"]) == {"salford"}
+
+    @given(repetitive_extents)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_value_reference(self, values):
+        assert list(value_token_set(values)) == list(reference_value_token_set(values))
