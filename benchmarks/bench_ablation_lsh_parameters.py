@@ -12,6 +12,7 @@ import numpy as np
 
 from conftest import NUM_TARGETS, run_once
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.evaluation.experiments import build_embedding_model
@@ -29,9 +30,10 @@ def _evaluate(corpus, config, seed=16):
 
     targets = corpus.pick_targets(NUM_TARGETS, seed=seed)
     precisions, recalls = [], []
+    session = DiscoverySession(engine)
     start = time.perf_counter()
     for target in targets:
-        answer = engine.query(target, k=K)
+        answer = session.submit(QueryRequest(target=target, k=K, engine="sequential"))
         precision, recall = precision_recall_at_k(
             answer, corpus.ground_truth, target.name, K
         )

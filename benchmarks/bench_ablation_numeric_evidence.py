@@ -10,6 +10,7 @@ import numpy as np
 
 from conftest import REAL_KS, NUM_TARGETS, run_once
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.evidence import EvidenceType
 from repro.evaluation.metrics import precision_recall_at_k
 
@@ -21,9 +22,16 @@ def _sweep(suite, evidence_types, ks, num_targets, seed):
     # Both variants rank with the same trained Equation 3 weights so that the
     # comparison isolates the contribution of the D (KS) distances themselves
     # rather than a change of weighting scheme.
+    session = DiscoverySession(suite.d3l)
     answers = {
-        target.name: suite.d3l.query(
-            target, k=max_k, evidence_types=evidence_types, weights=suite.d3l.weights
+        target.name: session.submit(
+            QueryRequest(
+                target=target,
+                k=max_k,
+                evidence=evidence_types,
+                weights=suite.d3l.weights,
+                engine="sequential",
+            )
         )
         for target in targets
     }

@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import REAL_KS, NUM_TARGETS, run_once
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.evidence import EvidenceType
 from repro.core.weights import EvidenceWeights
 from repro.evaluation.metrics import precision_recall_at_k
@@ -25,9 +26,16 @@ def _sweep(suite, weights, evidence_types, ks, num_targets, seed):
     targets = benchmark_corpus.pick_targets(num_targets, seed=seed)
     max_k = max(ks)
     rows = []
+    session = DiscoverySession(suite.d3l)
     answers = {
-        target.name: suite.d3l.query(
-            target, k=max_k, evidence_types=evidence_types, weights=weights
+        target.name: session.submit(
+            QueryRequest(
+                target=target,
+                k=max_k,
+                evidence=evidence_types,
+                weights=weights,
+                engine="sequential",
+            )
         )
         for target in targets
     }

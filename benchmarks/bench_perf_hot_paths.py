@@ -26,17 +26,18 @@ An index-construction section additionally times
   (tracked floor: the shared descriptor ships >= 10x fewer bytes than the
   pickled snapshot at 1000 attributes).
 
-A batched-query section times the full query engine — ``D3L.query`` (the
-sequential per-attribute oracle) vs ``D3L.query_batch`` (per-evidence
-sweeps, vectorized Algorithm 2 KS pass) — on pre-profiled targets over a
+A batched-query section times the full query engine — ``D3L._execute_query``
+(the sequential per-attribute oracle) vs ``D3L._execute_query_batch``
+(per-evidence sweeps, vectorized Algorithm 2 KS pass) — on pre-profiled
+targets over a
 mixed numeric/text lake, verifying identical full rankings before trusting
 the timings (tracked floor: >= 3x at 1000 attributes), and checks that the
 ``workers=PARALLEL_WORKERS`` process fan-out answers exactly like
 ``workers=1``.
 
 A session-cache section times repeated-target serving through
-:class:`~repro.core.api.DiscoverySession` against the uncached
-``query_batch`` path on raw tables: the cache-warm second sweep of the same
+:class:`~repro.core.api.DiscoverySession` against the uncached batched
+engine on raw tables: the cache-warm second sweep of the same
 targets skips re-profiling/re-signing and must beat the uncached path
 (tracked floor: >= 2x at 1000 attributes) with bit-identical rankings.
 
@@ -110,7 +111,7 @@ QUERY_SPEEDUP_FLOOR = 5.0
 #: at 1000 attributes (rankings verified identical; sequential is the oracle).
 BATCHED_QUERY_SPEEDUP_FLOOR = 3.0
 #: Tracked floor: repeated-target querying through DiscoverySession (cache-warm
-#: second sweep of the same targets) vs uncached query_batch on raw tables,
+#: second sweep of the same targets) vs the uncached batched engine on raw tables,
 #: at 1000 attributes.  The session memoizes each target's Algorithm 1 profile
 #: and query signatures, so the warm sweep skips re-profiling entirely.
 SESSION_CACHE_SPEEDUP_FLOOR = 2.0
@@ -528,14 +529,14 @@ def _bench_batched_query(count: int, seed: int) -> Dict[str, object]:
     profiles = [engine.profile_target(lake.table(name)) for name in target_names]
 
     k = BATCH_QUERY_TOP_K
-    engine.query(profiles[0], k=k)
-    engine.query_batch(profiles[0], k=k)
+    engine._execute_query(profiles[0], k=k)
+    engine._execute_query_batch(profiles[0], k=k)
 
     start = time.perf_counter()
-    sequential = [engine.query(profile, k=k) for profile in profiles]
+    sequential = [engine._execute_query(profile, k=k) for profile in profiles]
     sequential_seconds = (time.perf_counter() - start) / len(profiles)
     start = time.perf_counter()
-    batched = [engine.query_batch(profile, k=k) for profile in profiles]
+    batched = [engine._execute_query_batch(profile, k=k) for profile in profiles]
     batched_seconds = (time.perf_counter() - start) / len(profiles)
 
     rankings_identical = all(
@@ -543,7 +544,7 @@ def _bench_batched_query(count: int, seed: int) -> Dict[str, object]:
         for first, second in zip(sequential, batched)
     )
     workers_identical = all(
-        _rankings(engine.query_batch(profile, k=k, workers=PARALLEL_WORKERS))
+        _rankings(engine._execute_query_batch(profile, k=k, workers=PARALLEL_WORKERS))
         == _rankings(answer)
         for profile, answer in zip(profiles[:2], batched[:2])
     )
@@ -595,18 +596,16 @@ def _serving_targets(num_targets: int, seed: int):
 
 
 def _bench_session_cache(count: int, seed: int) -> Dict[str, object]:
-    """Repeated-target serving: DiscoverySession vs uncached ``query_batch``.
+    """Repeated-target serving: DiscoverySession vs the uncached batched engine.
 
     A serving tier answers the same targets over and over (dashboards,
     answer-size sweeps, evidence ablations).  Serving-sized target tables
-    are queried through the deprecated uncached path — which re-profiles and
-    re-signs the target on every call — and through a
+    are queried through the engine's uncached batched path — which
+    re-profiles and re-signs the target on every call — and through a
     :class:`DiscoverySession`, twice; the second (cache-warm) sweep must
     beat the uncached path by ``SESSION_CACHE_SPEEDUP_FLOOR`` and produce
     bit-identical rankings.
     """
-    import warnings
-
     from repro.core.api import DiscoverySession, QueryRequest
     from repro.core.config import D3LConfig
     from repro.core.discovery import D3L
@@ -623,13 +622,11 @@ def _bench_session_cache(count: int, seed: int) -> Dict[str, object]:
     targets = _serving_targets(BATCH_QUERY_TARGETS, seed + 1)
     k = BATCH_QUERY_TOP_K
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        engine.query_batch(targets[0], k=k)  # warm code paths + token caches
+    engine._execute_query_batch(targets[0], k=k)  # warm code paths + token caches
 
-        start = time.perf_counter()
-        uncached = [engine.query_batch(target, k=k) for target in targets]
-        uncached_seconds = (time.perf_counter() - start) / len(targets)
+    start = time.perf_counter()
+    uncached = [engine._execute_query_batch(target, k=k) for target in targets]
+    uncached_seconds = (time.perf_counter() - start) / len(targets)
 
     session = DiscoverySession(engine)
     start = time.perf_counter()
@@ -729,6 +726,7 @@ def _bench_join_graph_build(count: int, seed: int) -> Dict[str, object]:
     """
     from repro.core.config import D3LConfig
     from repro.core.discovery import D3L
+    from repro.core.execution import create_backend
     from repro.core.joins import SAJoinGraph
 
     lake = _join_lake(count, seed)
@@ -739,7 +737,8 @@ def _bench_join_graph_build(count: int, seed: int) -> Dict[str, object]:
 
     batched = SAJoinGraph.build(indexes, config)
     sequential = SAJoinGraph.build_sequential(indexes, config)
-    sharded = SAJoinGraph.build(indexes, config, workers=PARALLEL_WORKERS)
+    with create_backend("process", indexes, PARALLEL_WORKERS) as backend:
+        sharded = SAJoinGraph.build(indexes, config, backend=backend)
     edges_identical = _join_edge_set(batched) == _join_edge_set(sequential)
     workers_identical = _join_edge_set(batched) == _join_edge_set(sharded)
 

@@ -15,9 +15,9 @@ the piece small enough to wire into tier-1 (see
   (see ``src/repro/analysis/`` and docs/api.md), and
 * builds a tiny lake and asserts the batched query engine answers exactly
   like the sequential oracle — the equivalence the floors depend on —
-  including the bulk ``related_attributes`` path, and
+  including the attribute-level path, and
 * exercises the serving API on the same lake: ``DiscoverySession`` answers
-  must match the deprecated shims and the oracle, and ``QueryResponse``
+  from its profile cache must match the oracle, and ``QueryResponse``
   must survive a ``to_dict`` → JSON → ``from_dict`` round trip losslessly, and
 * checks the join-path surface: the batched SA-join graph build must equal
   the scalar ``build_sequential`` oracle edge for edge, and a ``joins=True``
@@ -470,37 +470,56 @@ def _tiny_engine():
     return corpus, engine
 
 
+def _ranking(d3l, target, k=5, **options):
+    """``(table, distance)`` of one request's full ranking, through a fresh
+    session (so no answer reads another request's cached profile)."""
+    from repro.core.api import DiscoverySession, QueryRequest
+
+    response = DiscoverySession(d3l).submit(
+        QueryRequest(target=target, k=k, **options)
+    )
+    return [(r.table_name, r.distance) for r in response.results]
+
+
+def _attribute_rankings(d3l, target, k=5, **options):
+    """``{column: [(source, distance)]}`` of an attribute-level request over
+    every column of ``target``, through a fresh session."""
+    from repro.core.api import DiscoverySession
+
+    response = DiscoverySession(d3l).related_attributes(target, k=k, **options)
+    return {
+        name: [(entry.source, entry.distance) for entry in entries]
+        for name, entries in response.attribute_results.items()
+    }
+
+
 def _check_tiny_lake_equivalence(corpus, engine) -> List[str]:
     """The batched engine equals the sequential oracle on a tiny lake."""
     problems: List[str] = []
     for name in corpus.lake.table_names[::2]:
         target = corpus.lake.table(name)
-        sequential = engine.query(target, k=5)
-        batched = engine.query_batch(target, k=5)
-        if [(r.table_name, r.distance) for r in sequential.results] != [
-            (r.table_name, r.distance) for r in batched.results
-        ]:
-            problems.append(f"query_batch diverges from query on target {name!r}")
-    target = corpus.lake.tables[0]
-    bulk = engine.related_attributes_bulk(target, k=5)
-    for column in target.columns:
-        sequential = engine.related_attributes(target, column.name, k=5)
-        if [(r.ref, r.distance) for r in sequential] != [
-            (r.ref, r.distance) for r in bulk[column.name]
-        ]:
+        if _ranking(engine, target, engine="sequential") != _ranking(engine, target):
             problems.append(
-                f"related_attributes_bulk diverges on {target.name}.{column.name}"
+                f"the batched engine diverges from the sequential oracle on {name!r}"
+            )
+    target = corpus.lake.tables[0]
+    bulk = _attribute_rankings(engine, target)
+    sequential = _attribute_rankings(engine, target, engine="sequential")
+    for column in target.columns:
+        if sequential[column.name] != bulk[column.name]:
+            problems.append(
+                f"the batched attribute engine diverges on {target.name}.{column.name}"
             )
     return problems
 
 
 def _check_api_roundtrip(corpus, engine) -> List[str]:
-    """The serving API: shim-vs-session equivalence + lossless JSON wire format.
+    """The serving API: session-vs-oracle equivalence + lossless JSON wire format.
 
     Guards the QueryRequest/QueryResponse protocol contract at tier-1 speed:
-    a DiscoverySession must answer exactly like the deprecated shims (which
-    share its planner) and the sequential oracle, and ``to_dict`` →
-    ``json`` → ``from_dict`` must reproduce the response exactly.
+    a DiscoverySession answering from its profile cache must answer exactly
+    like the sequential oracle, and ``to_dict`` → ``json`` → ``from_dict``
+    must reproduce the response exactly.
     """
     from repro.core.api import DiscoverySession, QueryRequest, QueryResponse
 
@@ -520,23 +539,17 @@ def _check_api_roundtrip(corpus, engine) -> List[str]:
                 f"QueryResponse re-serialisation diverges (explain={explain})"
             )
     response = session.submit(QueryRequest(target=target, k=5))
-    shim = engine.query_batch(target, k=5)
-    oracle = engine.query(target, k=5)
     session_ranking = [(r.table_name, r.distance) for r in response.results]
-    if session_ranking != [(r.table_name, r.distance) for r in shim.results]:
-        problems.append("DiscoverySession diverges from the query_batch shim")
-    if session_ranking != [(r.table_name, r.distance) for r in oracle.results]:
+    if session_ranking != _ranking(engine, target, engine="sequential"):
         problems.append("DiscoverySession diverges from the sequential oracle")
     attr_response = session.related_attributes(target, k=5, explain=True)
     wire = json.loads(json.dumps(attr_response.to_dict()))
     if QueryResponse.from_dict(wire) != attr_response:
         problems.append("attribute-level QueryResponse JSON round trip is lossy")
-    bulk = engine.related_attributes_bulk(target, k=5)
-    for name, entries in bulk.items():
+    oracle = _attribute_rankings(engine, target, engine="sequential")
+    for name, entries in oracle.items():
         rankings = attr_response.attribute_results.get(name, [])
-        if [(entry.ref, entry.distance) for entry in entries] != [
-            (entry.source, entry.distance) for entry in rankings
-        ]:
+        if entries != [(entry.source, entry.distance) for entry in rankings]:
             problems.append(f"session attribute ranking diverges on {name!r}")
     return problems
 
@@ -597,7 +610,7 @@ def _check_shared_memory_path(corpus, engine) -> List[str]:
     problems: List[str] = []
     before = set(stray_segments())
     target = corpus.lake.tables[0]
-    oracle = [(r.table_name, r.distance) for r in engine.query(target, k=5).results]
+    oracle = _ranking(engine, target, engine="sequential")
 
     snapshot = SharedIndexSnapshot.create(engine.indexes)
     try:
@@ -609,20 +622,12 @@ def _check_shared_memory_path(corpus, engine) -> List[str]:
             subject_classifier=attached.subject_classifier,
         )
         mirror.indexes = attached
-        over_attached = [
-            (r.table_name, r.distance)
-            for r in mirror.query_batch(target, k=5).results
-        ]
-        if over_attached != oracle:
+        if _ranking(mirror, target) != oracle:
             problems.append("query over the attached shared index diverges")
     finally:
         snapshot.close()
 
-    fanned = [
-        (r.table_name, r.distance)
-        for r in engine.query_batch(target, k=5, workers=2).results
-    ]
-    if fanned != oracle:
+    if _ranking(engine, target, workers=2) != oracle:
         problems.append("workers=2 shared-path query diverges from the oracle")
 
     def edge_map(graph):
@@ -765,15 +770,7 @@ def _check_mutation_equivalence(corpus) -> List[str]:
                 "mutated index holds a different attribute set than the rebuild"
             )
         for table in survivors[:3]:
-            mutated = [
-                (r.table_name, r.distance)
-                for r in engine.query_batch(table, k=5).results
-            ]
-            rebuilt = [
-                (r.table_name, r.distance)
-                for r in oracle.query_batch(table, k=5).results
-            ]
-            if mutated != rebuilt:
+            if _ranking(engine, table) != _ranking(oracle, table):
                 problems.append(
                     f"mutated rankings diverge from the rebuild on {table.name!r}"
                 )

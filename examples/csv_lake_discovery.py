@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 from repro import D3L, D3LConfig, DataLake, DiscoverySession, QueryRequest, Table
@@ -81,17 +80,17 @@ def main() -> None:
             f"covers: {covered}"
         )
 
-    # Repeated requests hit the session's profile cache; the deprecated
-    # query_batch shim must still produce the identical ranking.
+    # Repeated requests hit the session's profile cache; the sequential
+    # oracle, run through a fresh session, must produce the identical ranking.
     repeat = session.submit(
         QueryRequest(target=target, k=5, exclude_self=False, explain=True)
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = engine.query_batch(target, k=5, exclude_self=False)
-    assert [(entry.table_name, entry.distance) for entry in legacy.results] == [
+    oracle = DiscoverySession(engine).submit(
+        QueryRequest(target=target, k=5, exclude_self=False, engine="sequential")
+    )
+    assert [(entry.table_name, entry.distance) for entry in oracle.results] == [
         (entry.table_name, entry.distance) for entry in repeat.results
-    ], "deprecated D3L.query_batch diverged from the DiscoverySession answer"
+    ], "the cached batched answer diverged from the sequential oracle"
     info = session.cache_info()
     print(f"\nSession cache: {info['hits']} hits / {info['misses']} misses")
 

@@ -18,6 +18,7 @@ Run with::
 
 from __future__ import annotations
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.datagen.synthetic_benchmark import (
@@ -50,28 +51,25 @@ def main() -> None:
     k = 5
     print(f"Target: {target.name}  ({target.arity} attributes)")
 
-    from repro.core.api import QueryRequest, execute
+    answer = DiscoverySession(engine).submit(
+        QueryRequest(target=target, k=k, joins=True, explain=True)
+    )
+    paths = answer.join_paths.paths
 
-    augmented = execute(engine, QueryRequest(target=target, k=k, joins=True)).legacy
-    answer = augmented.base
-
-    joined_per_start = {
-        start: {name for name in augmented.tables_for(start)}
-        for start in answer.table_names(k)
-    }
+    joined_per_start = {start: paths.reached_from(start) for start in answer.table_names(k)}
     plain_coverage = target_coverage_at_k(answer, target, k)
     joined_coverage = target_coverage_with_joins(answer, joined_per_start, target, k)
 
     print(f"\nTop-{k} coverage without join paths: {plain_coverage:.2f}")
     print(f"Top-{k} coverage with join paths:    {joined_coverage:.2f}")
-    print(f"Join paths found: {len(augmented.join_paths)}")
+    print(f"Join paths found: {len(paths)}")
 
-    for path in augmented.join_paths[:5]:
+    for path in paths[:5]:
         hops = " -> ".join(path.tables)
         print(f"  {hops}")
 
-    if augmented.join_paths:
-        path = augmented.join_paths[0]
+    if paths:
+        path = paths[0]
         edge = path.edges[0]
         left_table = corpus.lake.table(edge.left.table)
         right_table = corpus.lake.table(edge.right.table)

@@ -13,8 +13,6 @@ Run with::
 
 from __future__ import annotations
 
-import warnings
-
 from repro import D3L, D3LConfig, DataLake, DiscoverySession, QueryRequest, Table
 
 
@@ -92,14 +90,14 @@ def main() -> None:
                 f"  (best evidence: {match.best_evidence().value})"
             )
 
-    # The deprecated shim produces the identical ranking (it funnels through
-    # the same planner); keep the assertion so the example doubles as a check.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = engine.query(target, k=2)
-    assert [(entry.table_name, entry.distance) for entry in legacy.results] == [
+    # The sequential engine (the batched engine's oracle) produces the
+    # identical ranking; keep the assertion so the example doubles as a check.
+    oracle = DiscoverySession(engine).submit(
+        QueryRequest(target=target, k=2, engine="sequential")
+    )
+    assert [(entry.table_name, entry.distance) for entry in oracle.results] == [
         (entry.table_name, entry.distance) for entry in answer.results
-    ], "deprecated D3L.query diverged from the DiscoverySession answer"
+    ], "the batched engine diverged from the sequential oracle"
 
     # joins=True extends the same request with SA-join paths (Algorithm 3);
     # the join_paths block also travels on the JSON wire format.

@@ -18,16 +18,13 @@ is the stable serving surface over that engine:
   combined distances, and, for ``joins`` requests, the Algorithm 3
   ``join_paths`` block.  ``to_dict()``/``from_dict()`` round-trip losslessly
   through JSON.
-* :func:`execute` — the single execution planner every entry point funnels
-  through.  It dispatches to the batched/parallel kernels by default and to
-  the sequential oracle on request (``engine="sequential"``); the legacy
-  ``D3L.query`` / ``query_batch`` / ``related_attributes`` /
-  ``related_attributes_bulk`` methods are deprecation shims over it.
-* :class:`DiscoverySession` — the serving façade: wraps a loaded engine,
-  memoizes target profiles *and* their query signatures across repeated
-  requests (LRU, invalidated when the lake mutates, exactly like the query
-  executors), and submits requests through the planner.  Rankings are
-  bit-identical to the sequential oracle by construction.
+* :class:`DiscoverySession` — the one way to run a query: wraps an indexed
+  engine, memoizes target profiles *and* their query signatures across
+  repeated requests (LRU, invalidated per table when the lake mutates), and
+  runs each request on the batched/parallel kernels by default or on the
+  sequential oracle on request (``engine="sequential"``).  Rankings are
+  bit-identical to the sequential oracle by construction.  The CLI and both
+  ``repro serve`` backends submit through it.
 """
 
 from __future__ import annotations
@@ -37,14 +34,13 @@ import hashlib
 import math
 import numbers
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import require_positive
 from repro.core.discovery import (
     D3L,
     AttributeSearchResult,
-    JoinAugmentedResult,
     QueryResult,
     QueryTarget,
     attribute_signature_maps,
@@ -155,7 +151,7 @@ class QueryRequest:
     ``attributes`` switches the request to attribute-level discovery (the
     lake attributes most related to each named target column); otherwise the
     request asks for table-level rankings.  Validation happens at
-    construction, with the same error messages the legacy entry points and
+    construction, with the same error messages the engines and
     :class:`~repro.core.config.D3LConfig` use, so malformed requests never
     reach an engine.
     """
@@ -174,7 +170,7 @@ class QueryRequest:
 
     def __post_init__(self) -> None:
         # Duck-typed table targets (anything exposing name/columns, as the
-        # legacy engines accepted) pass; plainly wrong inputs fail fast.
+        # engines accept) pass; plainly wrong inputs fail fast.
         if not isinstance(self.target, TableProfile) and not (
             hasattr(self.target, "name") and hasattr(self.target, "columns")
         ):
@@ -182,8 +178,8 @@ class QueryRequest:
                 "target must be a Table or a TableProfile, "
                 f"got {type(self.target).__name__}"
             )
-        # Integral (not int) so numpy integers from array sweeps keep working
-        # through the deprecated shims; normalised to plain int for the wire.
+        # Integral (not int) so numpy integers from array sweeps are
+        # accepted; normalised to plain int for the wire.
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ValueError("k must be an integer")
         require_positive("k", self.k)
@@ -731,51 +727,8 @@ def query_request_from_wire(payload: Mapping[str, object]) -> QueryRequest:
 
 
 # --------------------------------------------------------------------------- #
-# the execution planner
+# execution
 # --------------------------------------------------------------------------- #
-
-
-@dataclass
-class QueryExecution:
-    """One planned-and-executed request: the legacy value plus the response.
-
-    ``legacy`` is what the corresponding deprecated entry point used to
-    return (a :class:`~repro.core.discovery.QueryResult` for table-level
-    requests, an ``{attribute: [AttributeSearchResult]}`` mapping for
-    attribute-level ones) — the shims return it unchanged, which is what
-    keeps their behaviour identical.  The :attr:`response` is materialised
-    lazily on first access, so shim callers that only consume ``legacy``
-    never pay for per-candidate protocol objects.
-    """
-
-    request: QueryRequest
-    legacy: object
-    weights_used: EvidenceWeights
-    _response: Optional[QueryResponse] = field(default=None, repr=False)
-
-    @property
-    def response(self) -> QueryResponse:
-        """The protocol response for this execution (built once, cached)."""
-        if self._response is None:
-            if self.request.attributes is not None:
-                self._response = _attribute_response(
-                    self.request, self.legacy, self.weights_used
-                )
-            elif isinstance(self.legacy, JoinAugmentedResult):
-                response = _table_response(
-                    self.request, self.legacy.base, self.weights_used
-                )
-                response.join_paths = JoinPathsBlock(
-                    paths=self.legacy.join_paths,
-                    joined_tables=sorted(self.legacy.joined_tables),
-                    truncated=self.legacy.truncated,
-                )
-                self._response = response
-            else:
-                self._response = _table_response(
-                    self.request, self.legacy, self.weights_used
-                )
-        return self._response
 
 
 def _ranking_weights(engine: D3L, request: QueryRequest) -> EvidenceWeights:
@@ -797,40 +750,24 @@ def _ranking_weights(engine: D3L, request: QueryRequest) -> EvidenceWeights:
     )
 
 
-def execute(
-    engine: D3L,
-    request: QueryRequest,
-    profile: Optional[TableProfile] = None,
-    signature_maps: Optional[Dict[str, Dict[EvidenceType, object]]] = None,
-) -> QueryExecution:
-    """Plan and run one request against ``engine``.
-
-    This is the single funnel underneath every entry point: the deprecated
-    ``D3L`` methods build a request and return the ``legacy`` value, while
-    :meth:`DiscoverySession.submit` returns the ``response`` — both from the
-    same execution.  ``profile``/``signature_maps`` let a session substitute
-    its memoized target state for table-level requests; both are
-    deterministic functions of the target, so answers are unchanged.
-
-    Runs on the read side of the engine's index lock: any number of
-    requests execute concurrently, while lake mutations (the write side)
-    wait for in-flight requests to drain — the thread-serving tier answers
-    off the live indexes from many handler threads at once.
-    """
-    with engine.index_lock.read():
-        return _execute_locked(engine, request, profile, signature_maps)
-
-
 def _execute_locked(
     engine: D3L,
     request: QueryRequest,
     profile: Optional[TableProfile] = None,
     signature_maps: Optional[Dict[str, Dict[EvidenceType, object]]] = None,
-) -> QueryExecution:
+) -> QueryResponse:
+    """Run one request against ``engine`` and build its response.
+
+    The caller holds the read side of the engine's index lock.  Table-level
+    requests run the batched engine by default and the sequential oracle on
+    request (``engine="sequential"``); ``profile``/``signature_maps`` let a
+    session substitute its memoized target state — both are deterministic
+    functions of the target, so answers are unchanged.
+    """
     weights_used = _ranking_weights(engine, request)
     if request.attributes is not None:
         if request.engine == "sequential":
-            legacy = {
+            answers = {
                 name: engine._execute_related_attributes(
                     request.target,
                     name,
@@ -841,18 +778,18 @@ def _execute_locked(
                 for name in request.attributes
             }
         else:
-            legacy = engine._execute_related_attributes_bulk(
+            answers = engine._execute_related_attributes_bulk(
                 request.target,
                 list(request.attributes),
                 k=request.k,
                 exclude_self=request.exclude_self,
                 weights=request.weights,
             )
-        return QueryExecution(request=request, legacy=legacy, weights_used=weights_used)
+        return _attribute_response(request, answers, weights_used)
 
     target = profile if profile is not None else request.target
     if request.engine == "sequential":
-        legacy = engine._execute_query(
+        result = engine._execute_query(
             target,
             request.k,
             evidence_types=request.evidence,
@@ -860,7 +797,7 @@ def _execute_locked(
             weights=request.weights,
         )
     else:
-        legacy = engine._execute_query_batch(
+        result = engine._execute_query_batch(
             target,
             request.k,
             evidence_types=request.evidence,
@@ -870,13 +807,19 @@ def _execute_locked(
             signature_maps=signature_maps,
             backend=request.backend,
         )
+    response = _table_response(request, result, weights_used)
     if request.joins:
         # D3L+J (section IV): walk the engine's cached SA-join graph from
         # the ranked answer.  The graph is version-invalidated against the
         # indexes, so repeated joins requests through one engine/session pay
         # for construction once per lake snapshot.
-        legacy = engine.augment_with_joins(legacy, request.k)
-    return QueryExecution(request=request, legacy=legacy, weights_used=weights_used)
+        augmented = engine.augment_with_joins(result, request.k)
+        response.join_paths = JoinPathsBlock(
+            paths=augmented.join_paths,
+            joined_tables=sorted(augmented.joined_tables),
+            truncated=augmented.truncated,
+        )
+    return response
 
 
 def _float_distances(
@@ -927,7 +870,7 @@ def _table_response(
 
 def _attribute_response(
     request: QueryRequest,
-    legacy: Dict[str, List[AttributeSearchResult]],
+    answers: Dict[str, List[AttributeSearchResult]],
     weights_used: EvidenceWeights,
 ) -> QueryResponse:
     attribute_results = {
@@ -941,7 +884,7 @@ def _attribute_response(
             )
             for entry in entries
         ]
-        for name, entries in legacy.items()
+        for name, entries in answers.items()
     }
     target = request.target
     return QueryResponse(
@@ -1000,8 +943,9 @@ class DiscoverySession:
         """Execute one request and return its response.
 
         Table-level requests resolve the target through the profile cache;
-        attribute-level requests re-profile the named columns (their legacy
-        path profiles per column subset, which the cache cannot reuse).
+        attribute-level requests re-profile the named columns (the
+        attribute engines profile per column subset, which the cache cannot
+        reuse).
 
         The whole submission — cache versioning, target resolution (which
         reads the live signature matrices), and execution — runs on the
@@ -1011,11 +955,11 @@ class DiscoverySession:
         with self.engine.index_lock.read():
             self._check_version()
             if request.attributes is not None:
-                return _execute_locked(self.engine, request).response
+                return _execute_locked(self.engine, request)
             profile, signature_maps = self._resolve_target(request.target)
             return _execute_locked(
                 self.engine, request, profile=profile, signature_maps=signature_maps
-            ).response
+            )
 
     def query(self, target: QueryTarget, k: int = 10, **options) -> QueryResponse:
         """Convenience: build and submit a table-level request."""
@@ -1030,8 +974,7 @@ class DiscoverySession:
     ) -> QueryResponse:
         """Convenience: build and submit an attribute-level request.
 
-        ``attributes=None`` asks about every column of the target, the way
-        the legacy bulk entry point did.
+        ``attributes=None`` asks about every column of the target.
         """
         names = (
             tuple(attributes)

@@ -14,11 +14,17 @@ Querying proceeds exactly as the paper describes:
    Equation 3 weighted l2-norm;
 5. the k smallest distances are the answer; optionally, the answer is
    extended with tables reachable through SA-join paths (Algorithm 3).
+
+:class:`D3L` indexes the lake and holds the query engines as private
+building blocks: the batched engine (``_execute_query_batch``), the
+sequential per-attribute oracle it is verified against (``_execute_query``),
+their attribute-level counterparts, and :meth:`D3L.augment_with_joins`.
+Queries run through :meth:`repro.core.api.DiscoverySession.submit`, which
+selects the oracle with ``QueryRequest(engine="sequential")``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -46,35 +52,6 @@ from repro.text.embeddings import WordEmbeddingModel
 QueryTarget = Union[Table, TableProfile]
 
 
-def _shim_evidence(
-    evidence_types: Optional[Sequence[EvidenceType]],
-) -> Optional[Tuple[EvidenceType, ...]]:
-    """Map a legacy ``evidence_types`` argument onto the request protocol.
-
-    The legacy engines treated an *empty* sequence like "all five types with
-    binary (uniform) ranking weights" — distinct from ``None``, which uses
-    the engine's trained weights.  An explicit all-five subset reproduces
-    that exactly through ``QueryRequest``, which rejects empty subsets.
-    """
-    if evidence_types is None:
-        return None
-    return tuple(evidence_types) or EvidenceType.all()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Soft-deprecation notice for the legacy query entry points.
-
-    The legacy methods stay behaviourally identical (they are thin shims over
-    the unified planner in :mod:`repro.core.api`), so the warning is purely a
-    migration signpost.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class TableResult:
     """One ranked source table with its relatedness evidence."""
@@ -87,10 +64,6 @@ class TableResult:
     def covered_target_attributes(self) -> Set[str]:
         """Target attributes aligned with at least one attribute of this table."""
         return {match.target_attribute for match in self.matches}
-
-    def aligned_sources(self) -> List[AttributeRef]:
-        """Lake attributes participating in the alignment."""
-        return [match.source for match in self.matches]
 
 
 @dataclass
@@ -138,7 +111,7 @@ class QueryResult:
 
 @dataclass
 class AttributeSearchResult:
-    """One ranked lake attribute returned by :meth:`D3L.related_attributes`."""
+    """One ranked lake attribute of an attribute-level query."""
 
     ref: AttributeRef
     distances: Dict[EvidenceType, float]
@@ -177,8 +150,9 @@ class D3L:
 
         engine = D3L()
         engine.index_lake(lake)
-        result = engine.query(target_table, k=10)
-        for entry in result.top():
+        session = DiscoverySession(engine)    # repro.core.api
+        response = session.submit(QueryRequest(target=target_table, k=10))
+        for entry in response.top():
             print(entry.table_name, entry.distance)
     """
 
@@ -304,8 +278,11 @@ class D3L:
         One executor (and thus one execution backend holding at most one
         worker pool over one shared index snapshot) exists per requested
         worker count — keyed by the bare count for the default ``process``
-        backend and by ``(backend, workers)`` otherwise; any lake mutation
-        discards the cache (see :meth:`_invalidate_query_executors`).
+        backend and by ``(backend, workers)`` otherwise.  :meth:`index_lake`
+        and :meth:`close` discard the cache (see
+        :meth:`_invalidate_query_executors`); single-table mutations keep it,
+        and each backend refreshes its workers with a delta on the next
+        fan-out.
         """
         from repro.core.parallel import ParallelQueryExecutor
 
@@ -355,11 +332,6 @@ class D3L:
         graph, graph_version = self._join_graph, self._join_graph_version
         version = self.indexes.version
         if graph is None or graph_version != version:
-            executor = (
-                self._fanout_executor(workers, backend)
-                if workers is not None and workers > 1
-                else None
-            )
             mutated = (
                 None
                 if graph is None or graph_version is None
@@ -368,10 +340,12 @@ class D3L:
             graph = SAJoinGraph.build(
                 self.indexes,
                 self.config,
-                workers=workers,
-                executor=executor,
+                backend=(
+                    self._fanout_executor(workers, backend).backend
+                    if workers is not None and workers > 1
+                    else None
+                ),
                 overlap_cache=self._join_overlap_cache,
-                backend=backend,
                 previous=graph,
                 mutated_tables=mutated,
             )
@@ -404,45 +378,12 @@ class D3L:
     def profile_target(self, target: Table) -> TableProfile:
         """Profile a query target once, for reuse across many queries.
 
-        The returned profile can be passed wherever :meth:`query`,
-        :meth:`query_batch` or :meth:`query_with_joins` accept a target, so
-        answer-size sweeps and sequential-vs-batched comparisons do not pay
-        the Algorithm 1 feature extraction repeatedly.  Nothing is inserted
-        into the indexes.
+        The returned profile can be passed as a
+        :class:`~repro.core.api.QueryRequest` target, so answer-size sweeps
+        and sequential-vs-batched comparisons do not pay the Algorithm 1
+        feature extraction repeatedly.  Nothing is inserted into the indexes.
         """
         return self.indexes.profile_table(target)
-
-    def query(
-        self,
-        target: QueryTarget,
-        k: int,
-        evidence_types: Optional[Sequence[EvidenceType]] = None,
-        exclude_self: bool = True,
-        weights: Optional[EvidenceWeights] = None,
-    ) -> QueryResult:
-        """Return the ranked answer for ``target`` (sequential engine).
-
-        .. deprecated::
-            ``D3L.query`` is a compatibility shim over the unified query
-            protocol; build a :class:`~repro.core.api.QueryRequest` with
-            ``engine="sequential"`` and submit it through a
-            :class:`~repro.core.api.DiscoverySession` instead.  Behaviour
-            (rankings, scores, tie order, error messages) is unchanged.
-        """
-        _warn_deprecated(
-            "D3L.query", "DiscoverySession.submit(QueryRequest(engine='sequential'))"
-        )
-        from repro.core.api import QueryRequest, execute
-
-        request = QueryRequest(
-            target=target,
-            k=k,
-            evidence=_shim_evidence(evidence_types),
-            weights=weights,
-            exclude_self=exclude_self,
-            engine="sequential",
-        )
-        return execute(self, request).legacy
 
     def _execute_query(
         self,
@@ -480,39 +421,6 @@ class D3L:
             results=self._rank_tables(matches, ranking_weights),
         )
 
-    def query_batch(
-        self,
-        target: QueryTarget,
-        k: int,
-        evidence_types: Optional[Sequence[EvidenceType]] = None,
-        exclude_self: bool = True,
-        weights: Optional[EvidenceWeights] = None,
-        workers: Optional[int] = None,
-    ) -> QueryResult:
-        """The batched query engine: :meth:`query`'s answer, computed in sweeps.
-
-        .. deprecated::
-            ``D3L.query_batch`` is a compatibility shim over the unified
-            query protocol; build a :class:`~repro.core.api.QueryRequest`
-            and submit it through a :class:`~repro.core.api.DiscoverySession`
-            instead (the session additionally caches target profiles across
-            repeated requests).  Behaviour is unchanged.
-        """
-        _warn_deprecated("D3L.query_batch", "DiscoverySession.submit(QueryRequest(...))")
-        from repro.core.api import QueryRequest, execute
-
-        request = QueryRequest(
-            target=target,
-            k=k,
-            evidence=_shim_evidence(evidence_types),
-            weights=weights,
-            exclude_self=exclude_self,
-            # The legacy engine treated any workers <= 1 (including 0) as
-            # "no fan-out"; the request protocol only accepts positive counts.
-            workers=workers if workers is not None and workers > 1 else 1,
-        )
-        return execute(self, request).legacy
-
     def _execute_query_batch(
         self,
         target: QueryTarget,
@@ -536,10 +444,11 @@ class D3L:
         fans the target attributes out across worker processes
         (:class:`~repro.core.parallel.ParallelQueryExecutor`).
 
-        Rankings, scores, and tie order are identical to :meth:`query` by
-        construction: the same exact lookup tables score the signatures, the
-        same counts feed every CDF, and the same sort keys break ties — which
-        ``tests/core/test_batched_query.py`` locks down.
+        Rankings, scores, and tie order are identical to
+        :meth:`_execute_query` by construction: the same exact lookup tables
+        score the signatures, the same counts feed every CDF, and the same
+        sort keys break ties — which ``tests/core/test_batched_query.py``
+        locks down.
         """
         target_profile, active_indexed, use_distribution, ranking_weights = (
             self._prepare_query(target, k, evidence_types, weights)
@@ -564,38 +473,6 @@ class D3L:
             results=self._rank_tables(matches, ranking_weights),
         )
 
-    def query_with_joins(
-        self,
-        target: QueryTarget,
-        k: int,
-        evidence_types: Optional[Sequence[EvidenceType]] = None,
-        exclude_self: bool = True,
-    ) -> JoinAugmentedResult:
-        """D3L+J: the ranked answer extended with SA-join paths (section IV).
-
-        .. deprecated::
-            ``D3L.query_with_joins`` is a compatibility shim over the unified
-            query protocol; build a :class:`~repro.core.api.QueryRequest`
-            with ``joins=True`` and submit it through a
-            :class:`~repro.core.api.DiscoverySession` (join paths then also
-            travel on the ``QueryResponse`` wire format).  Behaviour is
-            unchanged.
-        """
-        _warn_deprecated(
-            "D3L.query_with_joins", "DiscoverySession.submit(QueryRequest(joins=True))"
-        )
-        from repro.core.api import QueryRequest, execute
-
-        request = QueryRequest(
-            target=target,
-            k=k,
-            evidence=_shim_evidence(evidence_types),
-            exclude_self=exclude_self,
-            engine="sequential",
-            joins=True,
-        )
-        return execute(self, request).legacy
-
     def augment_with_joins(self, base: QueryResult, k: int) -> JoinAugmentedResult:
         """Extend a ranked answer with SA-join paths (Algorithm 3).
 
@@ -617,40 +494,6 @@ class D3L:
             joined_tables=search.paths.reached(),
             truncated=search.truncated,
         )
-
-    def related_attributes(
-        self,
-        target: Table,
-        attribute_name: str,
-        k: int = 10,
-        exclude_self: bool = True,
-        weights: Optional[EvidenceWeights] = None,
-    ) -> List[AttributeSearchResult]:
-        """Attribute-level discovery: the lake attributes most related to one
-        target attribute.
-
-        .. deprecated::
-            ``D3L.related_attributes`` is a compatibility shim; build a
-            :class:`~repro.core.api.QueryRequest` with ``attributes=(name,)``
-            and ``engine="sequential"`` and submit it through a
-            :class:`~repro.core.api.DiscoverySession`.  Behaviour is
-            unchanged.
-        """
-        _warn_deprecated(
-            "D3L.related_attributes",
-            "DiscoverySession.submit(QueryRequest(attributes=..., engine='sequential'))",
-        )
-        from repro.core.api import QueryRequest, execute
-
-        request = QueryRequest(
-            target=target,
-            k=k,
-            attributes=(attribute_name,),
-            weights=weights,
-            exclude_self=exclude_self,
-            engine="sequential",
-        )
-        return execute(self, request).legacy[attribute_name]
 
     def _execute_related_attributes(
         self,
@@ -718,49 +561,6 @@ class D3L:
             )
         results.sort(key=lambda result: (result.distance, result.ref))
         return results[:k]
-
-    def related_attributes_bulk(
-        self,
-        target: Table,
-        attribute_names: Optional[Sequence[str]] = None,
-        k: int = 10,
-        exclude_self: bool = True,
-        weights: Optional[EvidenceWeights] = None,
-    ) -> Dict[str, List[AttributeSearchResult]]:
-        """Bulk :meth:`related_attributes`: many target attributes, one pass.
-
-        .. deprecated::
-            ``D3L.related_attributes_bulk`` is a compatibility shim; build a
-            :class:`~repro.core.api.QueryRequest` with ``attributes=...`` and
-            submit it through a :class:`~repro.core.api.DiscoverySession`.
-            Behaviour is unchanged.
-        """
-        _warn_deprecated(
-            "D3L.related_attributes_bulk",
-            "DiscoverySession.submit(QueryRequest(attributes=...))",
-        )
-        # k is validated before the empty-names early return so a bad k is
-        # reported even for an empty selection, as the legacy path did;
-        # QueryRequest dedups the names and re-checks everything else.
-        if k <= 0:
-            raise ValueError("k must be positive")
-        names = (
-            tuple(attribute_names)
-            if attribute_names is not None
-            else tuple(column.name for column in target.columns)
-        )
-        if not names:
-            return {}
-        from repro.core.api import QueryRequest, execute
-
-        request = QueryRequest(
-            target=target,
-            k=k,
-            attributes=names,
-            weights=weights,
-            exclude_self=exclude_self,
-        )
-        return execute(self, request).legacy
 
     def _execute_related_attributes_bulk(
         self,
@@ -1115,7 +915,7 @@ class D3L:
 
 
 # --------------------------------------------------------------------------- #
-# batched candidate collection (shared by query_batch and its shard workers)
+# batched candidate collection (shared by the batched engine and its shard workers)
 # --------------------------------------------------------------------------- #
 
 

@@ -404,9 +404,9 @@ class ProcessBackend(ExecutionBackend):
 
     ``share_index=False`` skips the snapshot/delta machinery and ships the
     given view (a profiling clone, or None) to each worker verbatim through
-    the degraded pickle descriptor — the mode index builds and transient
-    sample-shipping verification use, where workers need the configuration
-    but not the (possibly still empty) index contents.
+    the degraded pickle descriptor — the mode index builds use, where
+    workers need the configuration but not the (still empty) index
+    contents.
     """
 
     kind = "process"

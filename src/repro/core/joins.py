@@ -13,8 +13,9 @@ through one multi-query value-index lookup (the same kernels the batched
 query engine uses), the paper's estimated overlap coefficient — computed
 vectorized from the MinHash Jaccard estimates the lookup already produced —
 pre-filters the candidate pairs, and only the survivors pay for exact
-value-sample verification, optionally sharded across worker processes
-(:func:`~repro.core.parallel.verify_value_overlaps`).  The scalar
+value-sample verification, through
+:meth:`~repro.core.execution.ExecutionBackend.verify_overlaps` (in process,
+or sharded across a caller's worker backend).  The scalar
 probe-at-a-time construction lives on as :meth:`SAJoinGraph.build_sequential`,
 the equivalence oracle the batched build is verified against.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -51,11 +53,10 @@ import numpy as np
 
 from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
+from repro.core.execution import ExecutionBackend, SerialBackend
 from repro.core.indexes import D3LIndexes
 from repro.core.profiles import AttributeProfile
 from repro.lake.datalake import AttributeRef
-from repro.lsh.lsh_ensemble import LSHEnsemble
-from repro.lsh.minhash import MinHashFactory
 
 
 @dataclass(frozen=True)
@@ -636,31 +637,18 @@ class _PoolBuild:
             for (row, _, carried), kept in zip(self.pending, usable)
         ]
 
-    def verify(self, overlap_cache, workers, executor, backend) -> None:
+    def verify(self, overlap_cache, backend: ExecutionBackend) -> None:
         """Verify every pending candidate exactly and settle the rows' edges."""
-        from repro.core.parallel import verify_value_overlaps
-
         self._prefilter()
         pairs: List[OverlapPair] = []
-        samples: Dict[AttributeRef, Set[str]] = {}
         for row, candidates, _ in self.pending:
-            subject = self.probes[row][1]
-            fresh = [
-                ref
+            subject_ref = self.probes[row][1].ref
+            pairs.extend(
+                (subject_ref, ref)
                 for _, ref in candidates
-                if overlap_cache is None or (subject.ref, ref) not in overlap_cache
-            ]
-            if fresh and executor is None:
-                # The executor routing resolves samples worker-side from
-                # the attached shared index; only the sample-shipping
-                # paths need the dictionary built at all.
-                samples[subject.ref] = subject.value_sample
-                for ref in fresh:
-                    samples[ref] = self.indexes.profiles[ref].value_sample
-            pairs.extend((subject.ref, ref) for ref in fresh)
-        overlaps = verify_value_overlaps(
-            samples, pairs, workers=workers, executor=executor, backend=backend
-        )
+                if overlap_cache is None or (subject_ref, ref) not in overlap_cache
+            )
+        overlaps = backend.verify_overlaps(pairs)
         if overlap_cache is not None:
             overlap_cache.update(overlaps)
             overlaps = overlap_cache
@@ -761,10 +749,8 @@ class SAJoinGraph:
         cls,
         indexes: D3LIndexes,
         config: Optional[D3LConfig] = None,
-        workers: Optional[int] = None,
-        executor=None,
+        backend: Optional[ExecutionBackend] = None,
         overlap_cache: Optional[Union[JoinOverlapCache, Dict[OverlapPair, float]]] = None,
-        backend: str = "process",
         previous: Optional["SAJoinGraph"] = None,
         mutated_tables: Optional[AbstractSet[str]] = None,
     ) -> "SAJoinGraph":
@@ -777,16 +763,15 @@ class SAJoinGraph:
         from the Jaccard estimates the lookup produced — drops candidate
         pairs that cannot clear ``config.overlap_threshold`` before any
         Python-level set intersection happens.  Surviving pairs are verified
-        with the exact value-sample overlap coefficient, sharded across
-        ``workers`` of a transient execution ``backend`` when requested
-        (:func:`~repro.core.parallel.verify_value_overlaps`) — or, when the
-        owning engine passes a live
-        :class:`~repro.core.parallel.ParallelQueryExecutor` as ``executor``,
-        over that executor's persistent backend (for the process backend: a
-        shared-memory worker pool with no sample shipping at all);
-        verification is a pure per-pair function and edges are applied in
-        sorted probe order, so every routing (``workers=1``, ``workers=N``,
-        executor pool, any backend) produces the identical edge set.
+        with the exact value-sample overlap coefficient through
+        ``backend``'s :meth:`~repro.core.execution.ExecutionBackend.verify_overlaps`
+        — the caller's backend over these indexes (the owning engine passes
+        its fan-out executor's: for the process backend, a shared-memory
+        worker pool that resolves value samples from its attached view), or
+        an in-process :class:`~repro.core.execution.SerialBackend` when
+        ``backend`` is None.  Verification is a pure per-pair function and
+        edges are applied in sorted probe order, so every backend and
+        worker count produces the identical edge set.
 
         The pre-filter estimates overlap from the *token sets* the value
         index is built from, while verification compares distinct-value
@@ -835,7 +820,10 @@ class SAJoinGraph:
         else:
             walk = build.carry(pools, mutated_tables)
         build.walk(walk)
-        build.verify(overlap_cache, workers, executor, backend)
+        with (
+            SerialBackend(indexes, 1) if backend is None else nullcontext(backend)
+        ) as verifier:
+            build.verify(overlap_cache, verifier)
         kept = build.finish()
 
         graph = nx.Graph()
@@ -880,56 +868,6 @@ class SAJoinGraph:
                     continue
                 _apply_edge(graph, table_name, subject.ref, ref, overlap)
         return cls(graph)
-
-    @classmethod
-    def build_with_ensemble(
-        cls, indexes: D3LIndexes, config: Optional[D3LConfig] = None
-    ) -> "SAJoinGraph":
-        """Alternative construction using LSH Ensemble containment blocking.
-
-        The paper notes LSH Ensemble (Zhu et al. 2016) as an improvement
-        compatible with its value index: MinHash-based Jaccard blocking
-        under-retrieves containment pairs whose set sizes are skewed, which
-        is exactly the shape of inclusion dependencies.  This variant indexes
-        every textual attribute's token set in an LSH Ensemble, probes it
-        with each table's subject attribute at the configured containment
-        threshold, and then applies the same value-sample verification as
-        :meth:`build`.
-        """
-        config = config or indexes.config
-        graph = nx.Graph()
-        graph.add_nodes_from(indexes.table_names)
-
-        factory = MinHashFactory(num_perm=config.num_hashes, seed=config.seed + 50)
-        ensemble = LSHEnsemble(
-            threshold=config.overlap_threshold,
-            num_hashes=config.num_hashes,
-            seed=config.seed + 51,
-        )
-        signatures: Dict[AttributeRef, Tuple[object, int]] = {}
-        for ref, profile in indexes.profiles.items():
-            if not profile.tokens:
-                continue
-            signature = factory.from_tokens(profile.tokens)
-            signatures[ref] = (signature, len(profile.tokens))
-            ensemble.insert(ref, signature, len(profile.tokens))
-        ensemble.index()
-
-        for table_name, subject in _subject_probes(indexes):
-            probe = factory.from_tokens(subject.tokens)
-            candidates = ensemble.query(probe, len(subject.tokens))
-            for ref in sorted(candidates):
-                if ref.table == table_name:
-                    continue
-                other_profile = indexes.profiles.get(ref)
-                if other_profile is None:
-                    continue
-                overlap = subject.value_overlap(other_profile)
-                if overlap < config.overlap_threshold:
-                    continue
-                _apply_edge(graph, table_name, subject.ref, ref, overlap)
-        return cls(graph)
-
 
 def find_join_paths(
     graph: SAJoinGraph,
@@ -993,16 +931,3 @@ def find_join_paths(
                 truncated = True
                 break
     return JoinPathSearch(paths=JoinPathTree(parents, tables, edges), truncated=truncated)
-
-
-def tables_reached(paths: Iterable[JoinPath]) -> Set[str]:
-    """All tables reached by at least one join path (excluding starts)."""
-    reached: Set[str] = set()
-    for path in paths:
-        reached.update(path.reached)
-    return reached
-
-
-def paths_from(paths: Iterable[JoinPath], start: str) -> List[JoinPath]:
-    """The join paths starting from a given top-k table."""
-    return [path for path in paths if path.start == start]

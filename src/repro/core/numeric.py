@@ -105,43 +105,3 @@ def compute_d_relatedness(
                 target_attribute.numeric_sorted, source_profile.numeric_sorted
             )
     return 1.0
-
-
-def numeric_distance_matrix(
-    indexes: D3LIndexes,
-    target_table_profile: TableProfile,
-    exclude_table: Optional[str] = None,
-) -> Dict[str, Dict[AttributeRef, float]]:
-    """D distances between every numeric target attribute and every numeric
-    lake attribute that passes the Algorithm 2 guard.
-
-    Provided for analysis and tests; the discovery engine computes D
-    distances lazily for aligned pairs only.
-    """
-    result: Dict[str, Dict[AttributeRef, float]] = {}
-    guards: Dict[str, bool] = {}
-    for name, profile in target_table_profile.attributes.items():
-        if not profile.is_numeric:
-            continue
-        row: Dict[AttributeRef, float] = {}
-        for ref, other in indexes.profiles.items():
-            if not other.is_numeric:
-                continue
-            if exclude_table is not None and ref.table == exclude_table:
-                continue
-            if ref.table not in guards:
-                guards[ref.table] = subject_attributes_related(
-                    indexes, target_table_profile, ref.table, exclude_table=exclude_table
-                )
-            distance = compute_d_relatedness(
-                indexes,
-                target_table_profile,
-                profile,
-                ref,
-                subject_guard=guards[ref.table],
-                exclude_table=exclude_table,
-            )
-            if distance < 1.0:
-                row[ref] = distance
-        result[name] = row
-    return result

@@ -5,7 +5,7 @@ a deployment indexes the lake once and answers many queries afterwards.
 :class:`ParallelIndexBuilder` splits that one expensive pass across workers;
 :class:`ParallelQueryExecutor` applies the same shard/merge discipline to
 the query side, fanning one target's attributes out across workers for the
-batched query engine (:meth:`~repro.core.discovery.D3L.query_batch`).
+batched query engine (``QueryRequest(workers=N)``).
 
 Neither class constructs pools itself any more: both dispatch through an
 :class:`~repro.core.execution.ExecutionBackend` (serial / thread / process,
@@ -37,7 +37,6 @@ to a single-process build.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.execution import ExecutionBackend, create_backend, live_worker_pids
@@ -47,7 +46,6 @@ from repro.tables.table import Table
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.indexes import D3LIndexes
     from repro.core.shared import SharedIndexSnapshot
-    from repro.lake.datalake import AttributeRef
 
 #: ``live_worker_pids`` is re-exported: the suite-wide leak audit imports it
 #: from here (the historical home of worker-process bookkeeping).
@@ -56,7 +54,6 @@ __all__ = [
     "ParallelQueryExecutor",
     "live_worker_pids",
     "partition_tables",
-    "verify_value_overlaps",
 ]
 
 #: One shard worker's result: per table, the profile plus the per-attribute
@@ -161,83 +158,6 @@ class ParallelIndexBuilder:
         return self.indexes
 
 
-# --------------------------------------------------------------------------- #
-# SA-join verification fan-out
-# --------------------------------------------------------------------------- #
-
-
-def _verify_join_shard(
-    indexes: Optional["D3LIndexes"], payload
-) -> List[Tuple["AttributeRef", "AttributeRef", float]]:
-    """Shard fn: exact value-overlap of one shard's candidate pairs.
-
-    ``payload`` is ``(samples, pairs)``: the value samples of exactly the
-    refs this shard touches, plus the ``(left, right)`` ref pairs to verify.
-    The backend view is unused — this is the sample-shipping routing for
-    callers without an attached index.
-    """
-    from repro.core.profiles import sample_overlap
-
-    samples, pairs = payload
-    return [
-        (left, right, sample_overlap(samples[left], samples[right]))
-        for left, right in pairs
-    ]
-
-
-def verify_value_overlaps(
-    samples: Dict["AttributeRef", frozenset],
-    pairs: Sequence[Tuple["AttributeRef", "AttributeRef"]],
-    workers: Optional[int] = None,
-    executor: Optional["ParallelQueryExecutor"] = None,
-    backend: str = "process",
-) -> Dict[Tuple["AttributeRef", "AttributeRef"], float]:
-    """Exact overlap coefficients of many candidate pairs, optionally sharded.
-
-    The verification step of SA-join graph construction: every blocked
-    ``(subject attribute, candidate attribute)`` pair surviving the
-    estimated-overlap pre-filter is scored with the same overlap coefficient
-    as :meth:`~repro.core.profiles.AttributeProfile.value_overlap`.
-
-    With ``executor`` (a live :class:`ParallelQueryExecutor` over the same
-    indexes), the pairs are verified on the executor's persistent backend
-    against its attached view — no per-call pool spin-up and no sample
-    shipping; ``samples`` may then be empty.  Otherwise ``workers > 1``
-    deals the deduplicated pairs round-robin across a transient ``backend``
-    scope, shipping each shard only the value samples its pairs touch.
-    Because the overlap of a pair is a pure function of the two samples and
-    the merge is keyed by pair, every routing returns the identical mapping.
-    """
-    from repro.core.profiles import sample_overlap
-
-    if executor is not None:
-        return executor.verify_overlaps(pairs)
-    ordered = list(dict.fromkeys(pairs))
-    if workers is None or workers <= 1 or len(ordered) <= 1:
-        return {
-            (left, right): sample_overlap(samples[left], samples[right])
-            for left, right in ordered
-        }
-    shards = [shard for shard in (ordered[index::workers] for index in range(workers)) if shard]
-    payloads = [
-        (
-            {ref: samples[ref] for pair in shard for ref in pair},
-            shard,
-        )
-        for shard in shards
-    ]
-    if len(payloads) <= 1:
-        shard_results = [_verify_join_shard(None, payload) for payload in payloads]
-    else:
-        with create_backend(backend, None, workers, share_index=False) as scope:
-            shard_results = scope.map_shards(_verify_join_shard, payloads)
-    return {
-        (left, right): overlap
-        for result in shard_results
-        for left, right, overlap in result
-    }
-
-
 #: One query shard worker's result: per target attribute, the sorted
 #: candidate refs plus the per-evidence distance columns aligned with them
 #: (``[(attribute name, refs, {evidence: column})]``).
@@ -282,9 +202,9 @@ class ParallelQueryExecutor:
 
     Pool lifecycle, snapshot export, and journal-driven delta refresh are
     the owned :class:`~repro.core.execution.ExecutionBackend`'s concern
-    (:class:`~repro.core.execution.ProcessBackend` by default); the
-    executor's legacy introspection surface (``_pool``, ``_pool_version``,
-    ``_snapshot_version``, ``_delta``, :attr:`snapshot`) delegates to it.
+    (:class:`~repro.core.execution.ProcessBackend` by default), exposed as
+    :attr:`backend`; SA-join verification runs on that backend too
+    (:meth:`~repro.core.execution.ExecutionBackend.verify_overlaps`).
     """
 
     def __init__(
@@ -305,42 +225,10 @@ class ParallelQueryExecutor:
         for in-process backends, or under the degraded pickle descriptor)."""
         return self._backend.snapshot
 
-    # Legacy introspection surface: the pool/version/delta state now lives
-    # on the owned backend, but the names remain the executor's documented
-    # internals (the snapshot/delta tests assert against them).
-    @property
-    def _pool(self) -> Optional[ProcessPoolExecutor]:
-        return getattr(self._backend, "_pool", None)
-
-    @property
-    def _pool_version(self) -> Optional[int]:
-        return getattr(self._backend, "_pool_version", None)
-
-    @property
-    def _snapshot_version(self) -> Optional[int]:
-        return getattr(self._backend, "_snapshot_version", None)
-
-    @property
-    def _delta(self):
-        return getattr(self._backend, "_delta", None)
-
     def close(self) -> None:
         """Shut the backend's pool down and unlink its snapshot (the executor
         can be reused afterwards — the next fan-out re-creates both)."""
         self._backend.close()
-
-    def verify_overlaps(
-        self, pairs: Sequence[Tuple["AttributeRef", "AttributeRef"]]
-    ) -> Dict[Tuple["AttributeRef", "AttributeRef"], float]:
-        """Exact value overlaps of candidate pairs over the backend's view.
-
-        Shards the deduplicated pairs round-robin across the persistent
-        backend; process workers resolve value samples from their attached
-        shared index, so payloads are bare pair lists.  Single-pair (or
-        single-worker) calls short-circuit in-process over the same profiles
-        — the result is routing-independent either way.
-        """
-        return self._backend.verify_overlaps(pairs)
 
     def collect(
         self,

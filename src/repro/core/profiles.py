@@ -38,8 +38,8 @@ def sample_overlap(left: Set[str], right: Set[str]) -> float:
     """Overlap coefficient ``|A ∩ B| / min(|A|, |B|)`` of two value samples.
 
     The single definition of the section IV SA-joinability metric: both
-    :meth:`AttributeProfile.value_overlap` and the sharded join-graph
-    verification (:func:`~repro.core.parallel.verify_value_overlaps`) funnel
+    :meth:`AttributeProfile.value_overlap` and the join-graph verification
+    (:meth:`~repro.core.execution.ExecutionBackend.verify_overlaps`) funnel
     through it, so the sequential oracle and the worker shards can never
     disagree on the formula.
     """

@@ -176,11 +176,11 @@ def build_engine_suite(
 
 
 def _system_query(engine, target: Table, k: int):
-    """Query one suite system, keeping D3L off its deprecated shim.
+    """Query one suite system.
 
     The experiments are library internals: D3L goes straight to its
-    sequential engine (identical answers, no DeprecationWarning, no planner
-    overhead inside measured loops); the baselines expose plain ``query``.
+    sequential engine (identical answers, no session overhead inside
+    measured loops); the baselines expose plain ``query``.
     """
     if isinstance(engine, D3L):
         return engine._execute_query(target, k=k)
@@ -458,9 +458,9 @@ def experiment_search_time(
 
     for k in ks:
         row: Dict[str, object] = {"k": k}
-        # Time the engines directly (not the deprecated shims): the timed
-        # series predate the request/response planner and must stay
-        # comparable PR over PR, without shim/planner overhead.
+        # Time the engines directly, not through a session: the timed
+        # series predate the request/response protocol and must stay
+        # comparable PR over PR, without session overhead.
         start = time.perf_counter()
         for target in targets:
             suite.d3l._execute_query(target, k=k)
@@ -562,11 +562,11 @@ def experiment_space_overhead(suites: Mapping[str, EngineSuite]) -> List[Dict[st
 
 
 def _d3l_joined_tables(suite: EngineSuite, target: Table, k: int) -> Tuple[object, Dict[str, Set[str]]]:
-    from repro.core.api import QueryRequest, execute
-
-    # The planner path of the deprecated D3L.query_with_joins shim: identical
-    # answer (the batched engine equals the sequential oracle), no warning.
-    augmented = execute(suite.d3l, QueryRequest(target=target, k=k, joins=True)).legacy
+    # D3L+J: the batched answer (equal to the sequential oracle's) extended
+    # along SA-join paths, as a joins=True request computes it.
+    augmented = suite.d3l.augment_with_joins(
+        suite.d3l._execute_query_batch(target, k=k), k
+    )
     per_start: Dict[str, Set[str]] = {}
     top_k = set(augmented.base.table_names(k))
     for start in top_k:

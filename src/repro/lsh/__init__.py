@@ -7,20 +7,14 @@ The paper's discovery engine (and both baselines) are built on LSH:
 * :class:`~repro.lsh.random_projection.RandomProjection` signatures
   approximate cosine similarity (Charikar 2002) and back the word-embedding
   index;
-* :class:`~repro.lsh.lsh_index.LSHIndex` is the classic banded index with a
-  similarity threshold;
 * :class:`~repro.lsh.lsh_forest.LSHForest` is the self-tuning top-k index of
   Bawa et al. (2005) that the paper configures with threshold 0.7 and
-  MinHash size 256;
-* :class:`~repro.lsh.lsh_ensemble.LSHEnsemble` is the skew-aware containment
-  index of Zhu et al. (2016), mentioned by the paper as a compatible
-  improvement and used by the join-path machinery for containment search.
+  MinHash size 256; every evidence index and the SA-join blocking step use
+  it, and :mod:`repro.lsh.reference` keeps its scalar oracle.
 """
 
 from repro.lsh.hashing import HashFamily, hash_token, hash_tokens
-from repro.lsh.lsh_ensemble import LSHEnsemble
 from repro.lsh.lsh_forest import LSHForest
-from repro.lsh.lsh_index import LSHIndex, optimal_bands
 from repro.lsh.minhash import MinHash, MinHashFactory, batch_jaccard_distances
 from repro.lsh.random_projection import (
     RandomProjection,
@@ -30,9 +24,7 @@ from repro.lsh.random_projection import (
 
 __all__ = [
     "HashFamily",
-    "LSHEnsemble",
     "LSHForest",
-    "LSHIndex",
     "MinHash",
     "MinHashFactory",
     "RandomProjection",
@@ -41,5 +33,4 @@ __all__ = [
     "batch_jaccard_distances",
     "hash_token",
     "hash_tokens",
-    "optimal_bands",
 ]

@@ -22,6 +22,16 @@ from repro.lake.datalake import DataLake
 from repro.tables.table import Table
 
 
+def pytest_configure(config):
+    """Turn every DeprecationWarning into a test failure.
+
+    No deprecated entry point remains in ``repro``, so the suite runs with
+    zero warnings; a newly deprecated call (here or in a dependency) fails
+    tier-1 instead of adding to a warning count nobody reads.
+    """
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+
+
 def _untracked_children() -> set:
     """PIDs of live child processes not owned by a tracked executor pool."""
     from repro.core.parallel import live_worker_pids

@@ -1,15 +1,14 @@
 """Tests for the unified discovery-service API (``repro.core.api``).
 
 The protocol contract: a frozen, validated ``QueryRequest``; a
-``QueryResponse`` that round-trips losslessly through JSON; a planner that
-every entry point funnels through (so the deprecated shims and the session
-answer identically); and a ``DiscoverySession`` whose profile cache is
-invalidated on lake mutation and never changes an answer.
+``QueryResponse`` that round-trips losslessly through JSON; and a
+``DiscoverySession`` — the one way to run a query — whose answers equal the
+engines' and whose profile cache is invalidated on lake mutation and never
+changes an answer.
 """
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.core.api import (
     JoinPathsBlock,
     QueryRequest,
     QueryResponse,
-    execute,
     query_request_from_wire,
     query_request_to_wire,
 )
@@ -236,9 +234,7 @@ class TestPlannerEquivalence:
         target = small_synthetic_benchmark.lake.tables[0]
         session = DiscoverySession(indexed_d3l)
         response = session.related_attributes(target, k=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            bulk = indexed_d3l.related_attributes_bulk(target, k=4)
+        bulk = indexed_d3l._execute_related_attributes_bulk(target, k=4)
         assert set(response.attribute_results) == set(bulk)
         for name, entries in bulk.items():
             assert [(entry.ref, entry.distance) for entry in entries] == [
@@ -265,47 +261,6 @@ class TestPlannerEquivalence:
         ]
         assert response.ranking_weights[EvidenceType.VALUE] == 1.0
         assert response.ranking_weights[EvidenceType.NAME] == 0.0
-
-
-class TestDeprecatedShims:
-    def test_query_warns_and_matches(self, figure1_engine, figure1_tables):
-        target = figure1_tables["target"]
-        with pytest.warns(DeprecationWarning, match="D3L.query is deprecated"):
-            legacy = figure1_engine.query(target, k=2)
-        oracle = figure1_engine._execute_query(target, k=2)
-        assert [(r.table_name, r.distance) for r in legacy.results] == [
-            (r.table_name, r.distance) for r in oracle.results
-        ]
-
-    def test_query_batch_warns(self, figure1_engine, figure1_tables):
-        with pytest.warns(DeprecationWarning, match="D3L.query_batch is deprecated"):
-            figure1_engine.query_batch(figure1_tables["target"], k=2)
-
-    def test_related_attributes_warns(self, figure1_engine, figure1_tables):
-        with pytest.warns(
-            DeprecationWarning, match="D3L.related_attributes is deprecated"
-        ):
-            figure1_engine.related_attributes(figure1_tables["target"], "City", k=2)
-
-    def test_related_attributes_bulk_warns(self, figure1_engine, figure1_tables):
-        with pytest.warns(
-            DeprecationWarning, match="D3L.related_attributes_bulk is deprecated"
-        ):
-            figure1_engine.related_attributes_bulk(figure1_tables["target"], k=2)
-
-    def test_shim_validation_is_shared(self, figure1_engine, figure1_tables):
-        """Satellite: the shims reject bad k / unknown attributes uniformly."""
-        target = figure1_tables["target"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="^k must be positive$"):
-                figure1_engine.related_attributes(target, "City", k=0)
-            with pytest.raises(ValueError, match="^k must be positive$"):
-                figure1_engine.related_attributes_bulk(target, k=-1)
-            with pytest.raises(KeyError, match="has no attribute"):
-                figure1_engine.related_attributes(target, "NotAColumn", k=3)
-            with pytest.raises(ValueError, match="^k must be positive$"):
-                figure1_engine.query(target, k=0)
 
 
 class TestSessionCacheLifecycle:
@@ -445,25 +400,6 @@ class TestSessionPersistence:
             load_session(path)
 
 
-class TestExecutePlanner:
-    def test_returns_legacy_and_response(self, figure1_engine, figure1_tables):
-        request = QueryRequest(target=figure1_tables["target"], k=2)
-        execution = execute(figure1_engine, request)
-        assert [(r.table_name, r.distance) for r in execution.legacy.results] == [
-            (r.table_name, r.distance) for r in execution.response.results
-        ]
-        assert execution.response.mode == "table"
-        assert execution.response.engine == "batched"
-
-    def test_attribute_mode_legacy_shape(self, figure1_engine, figure1_tables):
-        request = QueryRequest(
-            target=figure1_tables["target"], k=3, attributes=("City", "Postcode")
-        )
-        execution = execute(figure1_engine, request)
-        assert set(execution.legacy) == {"City", "Postcode"}
-        assert execution.response.mode == "attributes"
-
-
 class TestJoinRequests:
     """joins=True: the D3L+J answer on the wire (QueryResponse.join_paths)."""
 
@@ -535,23 +471,6 @@ class TestJoinRequests:
         assert len(block.paths) <= 1
         payload = json.loads(json.dumps(response.to_dict()))
         assert payload["join_paths"]["truncated"] == block.truncated
-
-    def test_planner_matches_deprecated_shim(self, mutable_engine, figure1_tables):
-        target = figure1_tables["target"]
-        planned = execute(
-            mutable_engine,
-            QueryRequest(target=target, k=2, joins=True, engine="sequential"),
-        ).legacy
-        with pytest.warns(DeprecationWarning, match="query_with_joins"):
-            shimmed = mutable_engine.query_with_joins(target, k=2)
-        assert [path.tables for path in planned.join_paths] == [
-            path.tables for path in shimmed.join_paths
-        ]
-        assert planned.joined_tables == shimmed.joined_tables
-        assert planned.truncated == shimmed.truncated
-        assert [(r.table_name, r.distance) for r in planned.base.results] == [
-            (r.table_name, r.distance) for r in shimmed.base.results
-        ]
 
     def test_join_graph_cached_across_session_requests(
         self, mutable_engine, figure1_tables
@@ -760,7 +679,9 @@ class TestContextManagers:
         before = set(stray_segments())
         with D3L(config=fast_config) as engine:
             engine.index_lake(figure1_tables["lake"])
-            engine.query_batch(figure1_tables["target"], k=2, workers=2)
+            DiscoverySession(engine).submit(
+                QueryRequest(target=figure1_tables["target"], k=2, workers=2)
+            )
             assert engine._query_executors
         assert not engine._query_executors
         assert set(stray_segments()) == before

@@ -1,16 +1,17 @@
 """Oracle harness for the batched query engine.
 
-``D3L.query`` (sequential per-attribute fan-out, per-pair Algorithm 2) is
-the oracle; ``D3L.query_batch`` and ``related_attributes_bulk`` must
-reproduce its answers *exactly* — same rankings, same combined and
-per-evidence distances, same aligned matches with the same Equation 2
-weights, same tie order — across seeds, evidence subsets, weight settings,
-and degenerate lakes.
+The sequential engine (``QueryRequest(engine="sequential")``: per-attribute
+fan-out, per-pair Algorithm 2) is the oracle; the batched table-level and
+attribute-level engines must reproduce its answers *exactly* — same
+rankings, same combined and per-evidence distances, same aligned matches
+with the same Equation 2 weights, same tie order — across seeds, evidence
+subsets, weight settings, and degenerate lakes.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
@@ -23,11 +24,50 @@ from repro.lake.datalake import DataLake
 from repro.tables.table import Table
 
 
+def submit(d3l, target, k, **options):
+    """One explained request through a fresh session.
+
+    A fresh session per call keeps each side of a comparison from reading
+    the other's cached target profile.
+    """
+    return DiscoverySession(d3l).submit(
+        QueryRequest(target=target, k=k, explain=True, **options)
+    )
+
+
+def sequential_and_batched(d3l, target, k, **options):
+    """The oracle's and the batched engine's answers to the same request."""
+    return (
+        submit(d3l, target, k, engine="sequential", **options),
+        submit(d3l, target, k, **options),
+    )
+
+
+def candidate_tables(answer):
+    """Every table in a response's full ranking: related by at least one index."""
+    return {ranking.table_name for ranking in answer.results}
+
+
+def submit_attributes(d3l, target, k, attributes=None, **options):
+    """One explained attribute-level request through a fresh session."""
+    return DiscoverySession(d3l).related_attributes(
+        target, attributes, k=k, explain=True, **options
+    )
+
+
+def attribute_entries(response, name):
+    """``(source, distance, per-evidence distances)`` of one attribute's ranking."""
+    return [
+        (entry.source, entry.distance, entry.distances)
+        for entry in response.attribute_results[name]
+    ]
+
+
 def assert_identical_answers(sequential, batched):
-    """Full structural equality of two QueryResults."""
+    """Full structural equality of two explained table-level responses."""
     assert sequential.target_name == batched.target_name
     assert sequential.target_arity == batched.target_arity
-    assert sequential.requested_k == batched.requested_k
+    assert sequential.k == batched.k
     assert [result.table_name for result in sequential.results] == [
         result.table_name for result in batched.results
     ]
@@ -76,10 +116,7 @@ class TestOracleEquivalence:
     def test_identical_across_seeds_and_targets(self, seeded_corpus, seeded_engine):
         for name in seeded_corpus.lake.table_names[::4]:
             target = seeded_corpus.lake.table(name)
-            assert_identical_answers(
-                seeded_engine.query(target, k=5),
-                seeded_engine.query_batch(target, k=5),
-            )
+            assert_identical_answers(*sequential_and_batched(seeded_engine, target, 5))
 
     @pytest.mark.parametrize(
         "evidence_types",
@@ -95,8 +132,7 @@ class TestOracleEquivalence:
     ):
         target = seeded_corpus.lake.tables[0]
         assert_identical_answers(
-            seeded_engine.query(target, k=4, evidence_types=evidence_types),
-            seeded_engine.query_batch(target, k=4, evidence_types=evidence_types),
+            *sequential_and_batched(seeded_engine, target, 4, evidence=evidence_types)
         )
 
     @pytest.mark.parametrize(
@@ -118,36 +154,33 @@ class TestOracleEquivalence:
     def test_identical_per_weight_setting(self, seeded_corpus, seeded_engine, weights):
         target = seeded_corpus.lake.tables[1]
         assert_identical_answers(
-            seeded_engine.query(target, k=4, weights=weights),
-            seeded_engine.query_batch(target, k=4, weights=weights),
+            *sequential_and_batched(seeded_engine, target, 4, weights=weights)
         )
 
     def test_identical_with_self_included(self, seeded_corpus, seeded_engine):
         target = seeded_corpus.lake.tables[2]
         assert_identical_answers(
-            seeded_engine.query(target, k=4, exclude_self=False),
-            seeded_engine.query_batch(target, k=4, exclude_self=False),
+            *sequential_and_batched(seeded_engine, target, 4, exclude_self=False)
         )
 
     def test_identical_on_profiled_target(self, seeded_corpus, seeded_engine):
         target = seeded_corpus.lake.tables[0]
         profile = seeded_engine.profile_target(target)
         assert_identical_answers(
-            seeded_engine.query(target, k=5),
-            seeded_engine.query_batch(profile, k=5),
+            submit(seeded_engine, target, 5, engine="sequential"),
+            submit(seeded_engine, profile, 5),
         )
 
     def test_k_must_be_positive(self, seeded_engine, seeded_corpus):
         with pytest.raises(ValueError):
-            seeded_engine.query_batch(seeded_corpus.lake.tables[0], k=0)
+            submit(seeded_engine, seeded_corpus.lake.tables[0], 0)
 
 
 class TestDegenerateLakes:
     def _roundtrip(self, lake, target, **query_kwargs):
         engine = _engine(lake)
         assert_identical_answers(
-            engine.query(target, k=3, **query_kwargs),
-            engine.query_batch(target, k=3, **query_kwargs),
+            *sequential_and_batched(engine, target, 3, **query_kwargs)
         )
         return engine
 
@@ -223,51 +256,48 @@ class TestDegenerateLakes:
             arity=0,
             cardinality=0,
         )
-        assert engine.query(profile, k=3).results == []
-        assert engine.query_batch(profile, k=3).results == []
-        assert engine.query_batch(profile, k=3, workers=3).results == []
+        assert submit(engine, profile, 3, engine="sequential").results == []
+        assert submit(engine, profile, 3).results == []
+        assert submit(engine, profile, 3, workers=3).results == []
 
 
 class TestRelatedAttributesBulk:
     def test_bulk_matches_sequential_per_attribute(self, seeded_corpus, seeded_engine):
         target = seeded_corpus.lake.tables[0]
-        bulk = seeded_engine.related_attributes_bulk(target, k=6)
-        assert set(bulk) == {column.name for column in target.columns}
+        bulk = submit_attributes(seeded_engine, target, 6)
+        assert set(bulk.attribute_results) == {column.name for column in target.columns}
         for column in target.columns:
-            sequential = seeded_engine.related_attributes(target, column.name, k=6)
-            assert [
-                (entry.ref, entry.distance, entry.distances) for entry in sequential
-            ] == [
-                (entry.ref, entry.distance, entry.distances)
-                for entry in bulk[column.name]
-            ]
+            sequential = submit_attributes(
+                seeded_engine, target, 6, [column.name], engine="sequential"
+            )
+            assert attribute_entries(sequential, column.name) == attribute_entries(
+                bulk, column.name
+            )
 
     def test_bulk_respects_attribute_selection(self, seeded_corpus, seeded_engine):
         target = seeded_corpus.lake.tables[0]
         names = [column.name for column in target.columns][:2]
-        bulk = seeded_engine.related_attributes_bulk(target, attribute_names=names, k=3)
-        assert list(bulk) == names
+        bulk = submit_attributes(seeded_engine, target, 3, names)
+        assert list(bulk.attribute_results) == names
 
     def test_bulk_rejects_unknown_attribute(self, seeded_corpus, seeded_engine):
         with pytest.raises(KeyError):
-            seeded_engine.related_attributes_bulk(
-                seeded_corpus.lake.tables[0], attribute_names=["no_such_column"]
+            submit_attributes(
+                seeded_engine, seeded_corpus.lake.tables[0], 10, ["no_such_column"]
             )
 
     def test_bulk_rejects_nonpositive_k(self, seeded_corpus, seeded_engine):
         with pytest.raises(ValueError):
-            seeded_engine.related_attributes_bulk(seeded_corpus.lake.tables[0], k=0)
+            submit_attributes(seeded_engine, seeded_corpus.lake.tables[0], 0)
 
     def test_bulk_custom_weights(self, seeded_corpus, seeded_engine):
         target = seeded_corpus.lake.tables[1]
         weights = EvidenceWeights.single(EvidenceType.NAME)
         column = target.columns[0]
-        sequential = seeded_engine.related_attributes(
-            target, column.name, k=4, weights=weights
+        sequential = submit_attributes(
+            seeded_engine, target, 4, [column.name], weights=weights, engine="sequential"
         )
-        bulk = seeded_engine.related_attributes_bulk(
-            target, attribute_names=[column.name], k=4, weights=weights
+        bulk = submit_attributes(seeded_engine, target, 4, [column.name], weights=weights)
+        assert attribute_entries(sequential, column.name) == attribute_entries(
+            bulk, column.name
         )
-        assert [(entry.ref, entry.distance) for entry in sequential] == [
-            (entry.ref, entry.distance) for entry in bulk[column.name]
-        ]

@@ -6,6 +6,21 @@ from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
 from repro.lake.datalake import AttributeRef, DataLake
 from repro.tables.table import Table
+from tests.core.test_batched_query import candidate_tables, submit, submit_attributes
+
+
+def related(d3l, target, attribute_name, k, **options):
+    """The sequential engine's ranking of the lake attributes related to one
+    target attribute, through a fresh session."""
+    response = submit_attributes(
+        d3l, target, k, [attribute_name], engine="sequential", **options
+    )
+    return response.attribute_results[attribute_name]
+
+
+def sequential_candidates(d3l, target, k):
+    """Tables in the sequential engine's full ranking for ``target``."""
+    return candidate_tables(submit(d3l, target, k, engine="sequential"))
 
 
 @pytest.fixture
@@ -19,8 +34,8 @@ class TestRemoveTable:
     def test_remove_known_table(self, engine, figure1_tables):
         assert engine.remove_table("gp_funding_s2") is True
         assert "gp_funding_s2" not in engine.indexes.table_names
-        answer = engine.query(figure1_tables["target"], k=3)
-        assert "gp_funding_s2" not in answer.candidate_tables()
+        target = figure1_tables["target"]
+        assert "gp_funding_s2" not in sequential_candidates(engine, target, 3)
 
     def test_remove_unknown_table(self, engine):
         assert engine.remove_table("not_there") is False
@@ -39,8 +54,7 @@ class TestRemoveTable:
     def test_reinsert_after_removal(self, engine, figure1_tables):
         engine.remove_table("gp_funding_s2")
         engine.index_table(figure1_tables["sources"][1])
-        answer = engine.query(figure1_tables["target"], k=3)
-        assert "gp_funding_s2" in answer.candidate_tables()
+        assert "gp_funding_s2" in sequential_candidates(engine, figure1_tables["target"], 3)
 
     def test_remove_invalidates_join_graph(self, engine):
         graph_before = engine.join_graph
@@ -97,8 +111,8 @@ class TestReindexUpsert:
         oracle = D3L(config=fast_config)
         oracle.index_lake(figure1_tables["lake"])
         assert set(engine.indexes.profiles) == set(oracle.indexes.profiles)
-        answer = engine.query_batch(figure1_tables["target"], k=3)
-        expected = oracle.query_batch(figure1_tables["target"], k=3)
+        answer = submit(engine, figure1_tables["target"], 3)
+        expected = submit(oracle, figure1_tables["target"], 3)
         assert [(r.table_name, r.distance) for r in answer.results] == [
             (r.table_name, r.distance) for r in expected.results
         ]
@@ -118,18 +132,18 @@ class TestReindexUpsert:
 
 class TestRelatedAttributes:
     def test_returns_ranked_attributes(self, engine, figure1_tables):
-        results = engine.related_attributes(figure1_tables["target"], "Postcode", k=5)
+        results = related(engine, figure1_tables["target"], "Postcode", k=5)
         assert results
-        refs = [result.ref for result in results]
+        refs = [result.source for result in results]
         assert AttributeRef("gp_funding_s2", "Postcode") in refs
         distances = [result.distance for result in results]
         assert distances == sorted(distances)
 
     def test_respects_k(self, engine, figure1_tables):
-        assert len(engine.related_attributes(figure1_tables["target"], "City", k=1)) == 1
+        assert len(related(engine, figure1_tables["target"], "City", k=1)) == 1
 
     def test_distances_complete_and_bounded(self, engine, figure1_tables):
-        results = engine.related_attributes(figure1_tables["target"], "City", k=5)
+        results = related(engine, figure1_tables["target"], "City", k=5)
         for result in results:
             assert set(result.distances) == set(EvidenceType.all())
             assert all(0.0 <= value <= 1.0 for value in result.distances.values())
@@ -137,21 +151,21 @@ class TestRelatedAttributes:
 
     def test_unknown_attribute_raises(self, engine, figure1_tables):
         with pytest.raises(KeyError):
-            engine.related_attributes(figure1_tables["target"], "NotAColumn", k=3)
+            related(engine, figure1_tables["target"], "NotAColumn", k=3)
 
     def test_invalid_k_raises(self, engine, figure1_tables):
         with pytest.raises(ValueError):
-            engine.related_attributes(figure1_tables["target"], "City", k=0)
+            related(engine, figure1_tables["target"], "City", k=0)
 
     def test_exclude_self(self, engine, figure1_tables):
         source = figure1_tables["sources"][1]
-        included = engine.related_attributes(source, "City", k=10, exclude_self=False)
-        excluded = engine.related_attributes(source, "City", k=10, exclude_self=True)
-        assert any(result.ref.table == source.name for result in included)
-        assert all(result.ref.table != source.name for result in excluded)
+        included = related(engine, source, "City", k=10, exclude_self=False)
+        excluded = related(engine, source, "City", k=10, exclude_self=True)
+        assert any(result.source.table == source.name for result in included)
+        assert all(result.source.table != source.name for result in excluded)
 
     def test_numeric_attribute_search(self, engine, figure1_tables):
-        results = engine.related_attributes(figure1_tables["sources"][0], "Patients", k=5)
+        results = related(engine, figure1_tables["sources"][0], "Patients", k=5)
         # Numeric attributes are indexed by name and format, so candidates
         # exist; the distribution distance must be defined for numeric pairs.
         assert results

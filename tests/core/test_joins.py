@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.discovery import JoinAugmentedResult
 from repro.core.evidence import EvidenceType
+from repro.core.execution import create_backend
 from repro.core.joins import (
     JoinEdge,
     JoinPath,
@@ -23,10 +24,14 @@ from repro.core.joins import (
     estimated_overlap,
     estimated_overlaps,
     find_join_paths,
-    paths_from,
-    tables_reached,
 )
 from repro.lake.datalake import AttributeRef
+from tests.core.test_batched_query import candidate_tables, submit
+
+
+def reached_tables(paths) -> set:
+    """Oracle: the union of the tables every path reaches beyond its start."""
+    return set().union(*(path.reached for path in paths))
 
 
 def edge_map(graph: SAJoinGraph) -> dict:
@@ -135,13 +140,13 @@ class TestFindJoinPaths:
 
     def test_paths_exclude_top_k_members(self, toy_graph):
         paths = find_join_paths(toy_graph, ["a", "b"], related_tables={"a", "b", "c", "d", "e"})
-        reached = tables_reached(paths)
+        reached = reached_tables(paths)
         assert "b" not in reached
         assert {"c", "d", "e"} & reached
 
     def test_paths_restricted_to_related_tables(self, toy_graph):
         paths = find_join_paths(toy_graph, ["a"], related_tables={"a", "b", "e"})
-        reached = tables_reached(paths)
+        reached = reached_tables(paths)
         assert "e" in reached
         assert "c" not in reached and "d" not in reached
 
@@ -169,10 +174,6 @@ class TestFindJoinPaths:
         for path in paths:
             assert len(path.edges) == len(path.tables) - 1
 
-    def test_paths_from_helper(self, toy_graph):
-        paths = find_join_paths(toy_graph, ["a", "b"], related_tables={"a", "b", "c", "d", "e"})
-        assert all(path.start == "a" for path in paths_from(paths, "a"))
-
     def test_reached_property(self):
         path = JoinPath(tables=["a", "b", "c"], edges=[])
         assert path.start == "a"
@@ -180,52 +181,33 @@ class TestFindJoinPaths:
         assert len(path) == 3
 
 
-class TestEnsembleJoinGraph:
-    def test_ensemble_variant_finds_gp_joins(self, figure1_engine):
-        from repro.core.joins import SAJoinGraph
-
-        graph = SAJoinGraph.build_with_ensemble(
-            figure1_engine.indexes, figure1_engine.config
-        )
-        assert set(graph.table_names) == {
-            "gp_practices_s1",
-            "gp_funding_s2",
-            "local_gps_s3",
-        }
-        assert graph.edge_count() >= 1
-
-    def test_ensemble_edges_verified_by_value_overlap(self, figure1_engine):
-        from repro.core.joins import SAJoinGraph
-
-        graph = SAJoinGraph.build_with_ensemble(
-            figure1_engine.indexes, figure1_engine.config
-        )
-        threshold = figure1_engine.config.overlap_threshold
-        for first, second in graph.graph.edges:
-            assert graph.edge(first, second).overlap >= threshold
+def joins_response(d3l, target, k):
+    """The sequential engine's D3L+J answer, through a fresh session."""
+    return submit(d3l, target, k, engine="sequential", joins=True)
 
 
 class TestQueryWithJoins:
     def test_join_augmented_result_structure(self, figure1_engine, figure1_tables):
-        augmented = figure1_engine.query_with_joins(figure1_tables["target"], k=1)
-        assert augmented.base.requested_k == 1
-        top_table = augmented.base.table_names(1)[0]
-        assert augmented.tables_for(top_table) == set().union(
-            *(path.reached for path in augmented.join_paths if path.start == top_table)
+        response = joins_response(figure1_engine, figure1_tables["target"], 1)
+        assert response.k == 1
+        top_table = response.table_names(1)[0]
+        paths = response.join_paths.paths
+        assert paths.reached_from(top_table) == set().union(
+            *(path.reached for path in paths if path.start == top_table)
         )
 
     def test_joined_tables_not_in_top_k(self, figure1_engine, figure1_tables):
-        augmented = figure1_engine.query_with_joins(figure1_tables["target"], k=1)
-        top = set(augmented.base.table_names(1))
-        assert augmented.joined_tables.isdisjoint(top)
+        response = joins_response(figure1_engine, figure1_tables["target"], 1)
+        top = set(response.table_names(1))
+        assert set(response.join_paths.joined_tables).isdisjoint(top)
 
     def test_joined_tables_on_generated_corpus(self, indexed_d3l, small_synthetic_benchmark):
         target = small_synthetic_benchmark.pick_targets(1, seed=6)[0]
-        augmented = indexed_d3l.query_with_joins(target, k=3)
+        response = joins_response(indexed_d3l, target, 3)
         # Join paths may or may not exist, but the structure must be coherent.
-        for path in augmented.join_paths:
-            assert path.start in augmented.base.table_names(3)
-            assert set(path.reached) <= augmented.base.candidate_tables()
+        for path in response.join_paths.paths:
+            assert path.start in response.table_names(3)
+            assert set(path.reached) <= candidate_tables(response)
 
 
 class TestEstimatedOverlapsVectorized:
@@ -270,8 +252,11 @@ class TestBatchedBuild:
         assert edge_map(batched) == edge_map(sequential)
 
     def test_sharded_verification_matches_single_process(self, indexed_d3l):
-        single = SAJoinGraph.build(indexed_d3l.indexes, indexed_d3l.config, workers=1)
-        sharded = SAJoinGraph.build(indexed_d3l.indexes, indexed_d3l.config, workers=2)
+        single = SAJoinGraph.build(indexed_d3l.indexes, indexed_d3l.config)
+        with create_backend("process", indexed_d3l.indexes, 2) as backend:
+            sharded = SAJoinGraph.build(
+                indexed_d3l.indexes, indexed_d3l.config, backend=backend
+            )
         assert edge_map(single) == edge_map(sharded)
 
     def test_probes_are_subject_attributes_in_sorted_order(self, figure1_engine):
@@ -360,7 +345,7 @@ class TestTruncatedFlag:
         search = find_join_paths(chain_graph, ["a", "x"], related)
         assert isinstance(search, JoinPathSearch)
         assert not search.truncated
-        assert "y" in tables_reached(search)
+        assert "y" in reached_tables(search)
 
     def test_capped_walk_is_truncated_and_flagged(self, chain_graph):
         related = {"a", "b", "c", "d", "x", "y"}
@@ -370,7 +355,7 @@ class TestTruncatedFlag:
         # The flag is what distinguishes this capped answer: without it the
         # silently-dropped start table "x" would be indistinguishable from
         # "x has no join paths".
-        assert "y" not in tables_reached(search)
+        assert "y" not in reached_tables(search)
 
     def test_search_behaves_like_a_sequence(self, chain_graph):
         related = {"a", "b", "c", "d"}
@@ -386,19 +371,6 @@ class TestTruncatedFlag:
         search = find_join_paths(chain_graph, ["x"], {"x", "y"}, max_paths=5)
         assert len(search) == 1
         assert not search.truncated
-
-
-class TestEnsembleEquivalence:
-    def test_ensemble_matches_batched_build_on_figure1(self, figure1_engine):
-        """On the seeded GP lake both blocking strategies converge to the
-        same verified edges: containment and Jaccard retrieval agree when
-        the subject-attribute overlaps are strong."""
-        ensemble = SAJoinGraph.build_with_ensemble(
-            figure1_engine.indexes, figure1_engine.config
-        )
-        batched = SAJoinGraph.build(figure1_engine.indexes, figure1_engine.config)
-        assert batched.edge_count() >= 1
-        assert edge_map(ensemble) == edge_map(batched)
 
 
 class _ReferenceGraph:
@@ -542,7 +514,7 @@ class TestPrefixTreeOracle:
             joined_tables=tree.reached(),
             truncated=search.truncated,
         )
-        assert augmented.joined_tables == tables_reached(expected)
+        assert augmented.joined_tables == reached_tables(expected)
         for start in graph.nodes | {"missing"}:
             assert augmented.tables_for(start) == set().union(
                 *(path.reached for path in expected if path.start == start)

@@ -27,7 +27,7 @@ from repro.datagen.synthetic_benchmark import (
 from repro.lake.datalake import DataLake
 from repro.tables.table import Table
 
-from tests.core.test_batched_query import assert_identical_answers
+from tests.core.test_batched_query import assert_identical_answers, submit
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def _build_engine(tables):
 
 def _rankings(engine, targets, k=5):
     return [
-        [(result.table_name, result.distance) for result in engine.query_batch(target, k=k).results]
+        [(result.table_name, result.distance) for result in submit(engine, target, k).results]
         for target in targets
     ]
 
@@ -387,7 +387,7 @@ class TestRandomizedMutationOracle:
                     engine.index_table(replacement)
                 if step % 3 == 0:
                     target = live[rng.choice(sorted(live))]
-                    engine.query_batch(target, k=4)
+                    submit(engine, target, 4)
                     engine.join_graph
             probes = [live[name] for name in sorted(live)[:3]]
             assert_equals_rebuilt_oracle(engine, live.values(), probes)
@@ -401,10 +401,10 @@ class TestRandomizedMutationOracle:
         engine = _build_engine(live.values())
         try:
             warmup = live[sorted(live)[0]]
-            engine.query_batch(warmup, k=4, workers=2)
+            submit(engine, warmup, 4, workers=2)
             assert engine._query_executors
             executor = engine._query_executors[2]
-            pool_before = executor._pool
+            pool_before = executor.backend._pool
 
             victim = sorted(live)[1]
             del live[victim]
@@ -416,17 +416,17 @@ class TestRandomizedMutationOracle:
             for name in sorted(live):
                 target = live[name]
                 assert_identical_answers(
-                    engine.query_batch(target, k=4, workers=1),
-                    engine.query_batch(target, k=4, workers=2),
+                    submit(engine, target, 4, workers=1),
+                    submit(engine, target, 4, workers=2),
                 )
-            assert executor._pool is pool_before
+            assert executor.backend._pool is pool_before
 
             oracle = _build_engine(live.values())
             try:
                 for name in sorted(live)[:3]:
                     assert_identical_answers(
-                        oracle.query_batch(live[name], k=4),
-                        engine.query_batch(live[name], k=4, workers=2),
+                        submit(oracle, live[name], 4),
+                        submit(engine, live[name], 4, workers=2),
                     )
             finally:
                 oracle.close()

@@ -6,7 +6,6 @@ from repro.core.config import D3LConfig
 from repro.core.indexes import D3LIndexes
 from repro.core.numeric import (
     compute_d_relatedness,
-    numeric_distance_matrix,
     subject_attributes_related,
 )
 from repro.lake.datalake import AttributeRef, DataLake
@@ -126,23 +125,3 @@ class TestComputeDRelatedness:
             AttributeRef("missing_table", "missing_column"),
         )
         assert distance == 1.0
-
-
-class TestDistanceMatrix:
-    def test_matrix_covers_numeric_target_attributes(self, numeric_indexes, numeric_lake):
-        target_profile = numeric_indexes.profile_table(numeric_lake.table("practices_a"))
-        matrix = numeric_distance_matrix(
-            numeric_indexes, target_profile, exclude_table="practices_a"
-        )
-        assert "Patients" in matrix
-        assert "City" not in matrix
-
-    def test_matrix_entries_bounded_and_guarded(self, numeric_indexes, numeric_lake):
-        target_profile = numeric_indexes.profile_table(numeric_lake.table("practices_a"))
-        matrix = numeric_distance_matrix(
-            numeric_indexes, target_profile, exclude_table="practices_a"
-        )
-        for row in matrix.values():
-            for ref, distance in row.items():
-                assert 0.0 <= distance < 1.0
-                assert ref.table != "practices_a"

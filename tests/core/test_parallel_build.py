@@ -21,6 +21,7 @@ from repro.datagen.synthetic_benchmark import (
     generate_synthetic_benchmark,
 )
 from repro.lake.datalake import DataLake
+from tests.core.test_batched_query import submit
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +101,8 @@ class TestShardedBuildDeterminism:
         sharded_engine.index_lake(corpus.lake, workers=4)
         for target_name in corpus.lake.table_names[::5]:
             target = corpus.lake.table(target_name)
-            serial_answer = serial_engine.query(target, k=5)
-            sharded_answer = sharded_engine.query(target, k=5)
+            serial_answer = submit(serial_engine, target, 5, engine="sequential")
+            sharded_answer = submit(sharded_engine, target, 5, engine="sequential")
             assert serial_answer.table_names(5) == sharded_answer.table_names(5)
             assert [result.distance for result in serial_answer.results] == [
                 result.distance for result in sharded_answer.results

@@ -1,7 +1,7 @@
 """Determinism harness for the process-parallel query fan-out.
 
 Mirror of ``test_parallel_build.py`` for the query side: ``workers=1`` and
-``workers=N`` runs of ``query_batch`` must produce indistinguishable
+``workers=N`` runs of the batched engine must produce indistinguishable
 answers — identical rankings, distances, matches, and weights — including
 after a persistence-v3 round-trip of the engine.
 """
@@ -17,7 +17,7 @@ from repro.datagen.synthetic_benchmark import (
     generate_synthetic_benchmark,
 )
 
-from tests.core.test_batched_query import assert_identical_answers
+from tests.core.test_batched_query import assert_identical_answers, submit
 
 
 @pytest.fixture(scope="module")
@@ -50,22 +50,22 @@ class TestWorkerDeterminism:
         for name in corpus.lake.table_names[::5]:
             target = corpus.lake.table(name)
             assert_identical_answers(
-                engine.query_batch(target, k=5, workers=1),
-                engine.query_batch(target, k=5, workers=4),
+                submit(engine, target, 5, workers=1),
+                submit(engine, target, 5, workers=4),
             )
 
     def test_more_workers_than_attributes(self, corpus, engine):
         target = corpus.lake.tables[0]
         assert_identical_answers(
-            engine.query_batch(target, k=5, workers=1),
-            engine.query_batch(target, k=5, workers=4 * target.arity),
+            submit(engine, target, 5, workers=1),
+            submit(engine, target, 5, workers=4 * target.arity),
         )
 
     def test_fanned_out_query_matches_sequential_oracle(self, corpus, engine):
         target = corpus.lake.tables[1]
         assert_identical_answers(
-            engine.query(target, k=5),
-            engine.query_batch(target, k=5, workers=3),
+            submit(engine, target, 5, engine="sequential"),
+            submit(engine, target, 5, workers=3),
         )
 
 
@@ -77,10 +77,12 @@ class TestPersistenceRoundTrip:
         loaded = load_engine(path)
         for name in corpus.lake.table_names[::7]:
             target = corpus.lake.table(name)
-            original = engine.query_batch(target, k=5, workers=1)
-            assert_identical_answers(original, loaded.query_batch(target, k=5, workers=1))
-            assert_identical_answers(original, loaded.query_batch(target, k=5, workers=4))
-            assert_identical_answers(original, loaded.query(target, k=5))
+            original = submit(engine, target, 5, workers=1)
+            assert_identical_answers(original, submit(loaded, target, 5, workers=1))
+            assert_identical_answers(original, submit(loaded, target, 5, workers=4))
+            assert_identical_answers(
+                original, submit(loaded, target, 5, engine="sequential")
+            )
 
 
 class TestExecutorApi:
@@ -101,8 +103,8 @@ class TestExecutorApi:
         for _ in range(2):
             for target in targets:
                 assert_identical_answers(
-                    engine.query(target, k=4),
-                    engine.query_batch(target, k=4, workers=2),
+                    submit(engine, target, 4, engine="sequential"),
+                    submit(engine, target, 4, workers=2),
                 )
         assert list(engine._query_executors) == [2]
 
@@ -117,37 +119,39 @@ class TestExecutorApi:
         )
         engine.index_lake(corpus.lake)
         target = corpus.lake.tables[1]
-        engine.query_batch(target, k=4, workers=2)
+        submit(engine, target, 4, workers=2)
         assert engine._query_executors
         executor = engine._query_executors[2]
-        pool_before = executor._pool
+        pool_before = executor.backend._pool
         extra = corpus.lake.tables[2].with_name("zz_brand_new_table")
         engine.index_table(extra)
         # Single-table mutations no longer tear down the executor cache.
         assert engine._query_executors
-        after = engine.query_batch(extra, k=4, exclude_self=False, workers=2)
+        after = submit(engine, extra, 4, exclude_self=False, workers=2)
         # The delta-refreshed pool must see the new table (its byte-identical
         # source ties with it and wins the name tie-break, so check the top
         # two) without having been recreated.
-        assert executor._pool is pool_before
+        assert executor.backend._pool is pool_before
         assert "zz_brand_new_table" in after.table_names(2)
-        assert_identical_answers(engine.query(extra, k=4, exclude_self=False), after)
+        assert_identical_answers(
+            submit(engine, extra, 4, engine="sequential", exclude_self=False), after
+        )
         engine.remove_table("zz_brand_new_table")
         assert engine._query_executors
         assert_identical_answers(
-            engine.query(target, k=4),
-            engine.query_batch(target, k=4, workers=2),
+            submit(engine, target, 4, engine="sequential"),
+            submit(engine, target, 4, workers=2),
         )
-        after_removal = engine.query_batch(extra, k=4, exclude_self=False, workers=2)
+        after_removal = submit(engine, extra, 4, exclude_self=False, workers=2)
         assert "zz_brand_new_table" not in after_removal.table_names(4)
         # Bulk re-indexing still invalidates wholesale.
         engine.index_lake(corpus.lake)
         assert not engine._query_executors
 
     def test_cli_workers_route(self, corpus, engine):
-        # query_batch(workers=None) and workers=1 run the same in-process path.
+        # The default request and workers=1 run the same in-process path.
         target = corpus.lake.tables[2]
         assert_identical_answers(
-            engine.query_batch(target, k=4),
-            engine.query_batch(target, k=4, workers=1),
+            submit(engine, target, 4),
+            submit(engine, target, 4, workers=1),
         )

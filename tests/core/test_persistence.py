@@ -16,6 +16,7 @@ from repro.core.persistence import (
     save_engine,
     save_indexes,
 )
+from tests.core.test_batched_query import submit
 
 
 class TestEngineRoundTrip:
@@ -32,8 +33,8 @@ class TestEngineRoundTrip:
         path = save_engine(figure1_engine, tmp_path / "engine.pkl")
         loaded = load_engine(path)
         target = figure1_tables["target"]
-        original = figure1_engine.query(target, k=3)
-        restored = loaded.query(target, k=3)
+        original = submit(figure1_engine, target, 3, engine="sequential")
+        restored = submit(loaded, target, 3, engine="sequential")
         assert original.table_names(3) == restored.table_names(3)
         assert [round(r.distance, 9) for r in original.results] == [
             round(r.distance, 9) for r in restored.results
@@ -185,7 +186,9 @@ class TestRawBufferRoundTrip:
         victim = loaded.indexes.table_names[0]
         assert loaded.remove_table(victim)
         loaded.index_table(figure1_tables["target"])
-        result = loaded.query(figure1_tables["target"], k=2, exclude_self=True)
+        result = submit(
+            loaded, figure1_tables["target"], 2, engine="sequential", exclude_self=True
+        )
         assert victim not in result.table_names(2)
 
 

@@ -16,8 +16,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
+from repro.core.execution import create_backend
 from repro.core.evidence import EvidenceType
 from repro.core.joins import SAJoinGraph
 from repro.core.parallel import ParallelQueryExecutor, live_worker_pids
@@ -34,7 +36,7 @@ from repro.datagen.synthetic_benchmark import (
 )
 from repro.tables.table import Table
 
-from tests.core.test_batched_query import assert_identical_answers
+from tests.core.test_batched_query import assert_identical_answers, submit
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +151,7 @@ class TestAttach:
             for name in corpus.lake.table_names[::4]:
                 target = corpus.lake.table(name)
                 assert_identical_answers(
-                    engine.query_batch(target, k=5),
-                    mirror.query_batch(target, k=5),
+                    submit(engine, target, 5), submit(mirror, target, 5)
                 )
         finally:
             snapshot.close()
@@ -180,7 +181,7 @@ class TestLifecycle:
         pairs = [(refs[0], refs[1]), (refs[2], refs[3]), (refs[0], refs[2])]
         pids_before = live_worker_pids()
         executor = ParallelQueryExecutor(engine.indexes, workers=2)
-        overlaps = executor.verify_overlaps(pairs)
+        overlaps = executor.backend.verify_overlaps(pairs)
         expected = {
             (left, right): sample_overlap(
                 engine.indexes.profiles[left].value_sample,
@@ -209,8 +210,9 @@ class TestLifecycle:
         refs = sorted(engine.indexes.profiles)[:4]
         pairs = [(refs[0], refs[1]), (refs[2], refs[3])]
         executor = ParallelQueryExecutor(engine.indexes, workers=2)
+        backend = executor.backend
         try:
-            executor.verify_overlaps(pairs)
+            backend.verify_overlaps(pairs)
             first = executor.snapshot
             assert first is not None
             assert first.version == engine.indexes.version
@@ -218,19 +220,19 @@ class TestLifecycle:
                 "version_bump_extra", {"code": ["aa", "bb", "cc", "dd"]}
             )
             engine.indexes.add_table(extra)
-            executor.verify_overlaps(pairs)
+            backend.verify_overlaps(pairs)
             # A single-table mutation rides to the workers as a delta: the
             # snapshot (and pool) survive, and the pending delta targets the
             # current version from the snapshot's fixed base.
             assert executor.snapshot is first
             assert not first.closed
-            assert executor._delta is not None
-            assert executor._delta[0] == engine.indexes.version
-            assert [op[:2] for op in executor._delta[1]] == [
+            assert backend._delta is not None
+            assert backend._delta[0] == engine.indexes.version
+            assert [op[:2] for op in backend._delta[1]] == [
                 ("upsert", "version_bump_extra")
             ]
-            assert executor._pool_version == engine.indexes.version
-            assert executor._snapshot_version == first.version
+            assert backend._pool_version == engine.indexes.version
+            assert backend._snapshot_version == first.version
         finally:
             executor.close()
 
@@ -239,8 +241,8 @@ class TestLifecycle:
         before = set(stray_segments())
         pids_before = live_worker_pids()
         target = corpus.lake.tables[0]
-        baseline = engine.query_batch(target, k=5, workers=1)
-        fanned = engine.query_batch(target, k=5, workers=2)
+        baseline = submit(engine, target, 5, workers=1)
+        fanned = submit(engine, target, 5, workers=2)
         assert_identical_answers(baseline, fanned)
         executor = engine._query_executors[2]
         assert executor.snapshot is not None
@@ -257,7 +259,7 @@ class TestLifecycle:
 
         engine = _build_engine(corpus)
         session = DiscoverySession(engine)
-        engine.query_batch(corpus.lake.tables[0], k=5, workers=2)
+        session.submit(QueryRequest(target=corpus.lake.tables[0], k=5, workers=2))
         assert engine._query_executors
         session.close()
         assert not engine._query_executors
@@ -270,8 +272,8 @@ class TestSharedPathDeterminism:
             for name in corpus.lake.table_names[::4]:
                 target = corpus.lake.table(name)
                 assert_identical_answers(
-                    engine.query_batch(target, k=5, workers=1),
-                    engine.query_batch(target, k=5, workers=4),
+                    submit(engine, target, 5, workers=1),
+                    submit(engine, target, 5, workers=4),
                 )
             assert engine._query_executors[4].snapshot is not None
         finally:
@@ -284,8 +286,8 @@ class TestSharedPathDeterminism:
             for name in corpus.lake.table_names[::4]:
                 target = corpus.lake.table(name)
                 assert_identical_answers(
-                    engine.query_batch(target, k=5, workers=1),
-                    restored.query_batch(target, k=5, workers=2),
+                    submit(engine, target, 5, workers=1),
+                    submit(restored, target, 5, workers=2),
                 )
         finally:
             restored.close()
@@ -307,7 +309,8 @@ class TestSharedPathDeterminism:
                 }
 
             assert edge_map(shared) == edge_map(oracle)
-            sharded = SAJoinGraph.build(engine.indexes, engine.config, workers=2)
+            with create_backend("process", engine.indexes, 2) as backend:
+                sharded = SAJoinGraph.build(engine.indexes, engine.config, backend=backend)
             assert edge_map(sharded) == edge_map(oracle)
         finally:
             engine.close()

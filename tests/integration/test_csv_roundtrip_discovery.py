@@ -6,6 +6,7 @@ files; discovery must behave identically after a round trip through CSV.
 
 import pytest
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.discovery import D3L
 from repro.lake.datalake import DataLake
 
@@ -36,8 +37,9 @@ class TestCsvRoundTripDiscovery:
 
         target = small_synthetic_benchmark.pick_targets(1, seed=8)[0]
         k = 5
-        original_top = original_engine.query(target, k=k).table_names(k)
-        reloaded_top = reloaded_engine.query(target, k=k).table_names(k)
+        request = QueryRequest(target=target, k=k, engine="sequential")
+        original_top = DiscoverySession(original_engine).submit(request).table_names(k)
+        reloaded_top = DiscoverySession(reloaded_engine).submit(request).table_names(k)
         # The rankings should agree on most of the top-k (CSV round-tripping
         # can only perturb cell renderings, not the content).
         assert len(set(original_top) & set(reloaded_top)) >= k - 1

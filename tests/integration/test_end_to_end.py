@@ -10,11 +10,19 @@ import pytest
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.tus import TableUnionSearch
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
 from repro.datagen.corpus import build_knowledge_base
 from repro.evaluation.coverage import target_coverage_at_k, target_coverage_with_joins
 from repro.evaluation.metrics import precision_recall_at_k
+
+
+def query(engine, target, k, **options):
+    """D3L's sequential-engine answer, explained, through a session."""
+    return DiscoverySession(engine).submit(
+        QueryRequest(target=target, k=k, engine="sequential", explain=True, **options)
+    )
 
 
 class TestDiscoveryOnSyntheticCorpus:
@@ -25,7 +33,7 @@ class TestDiscoveryOnSyntheticCorpus:
         precisions = []
         chance = benchmark.average_answer_size() / max(len(benchmark.lake) - 1, 1)
         for target in targets:
-            answer = indexed_d3l.query(target, k=k)
+            answer = query(indexed_d3l, target, k)
             precision, _ = precision_recall_at_k(
                 answer, benchmark.ground_truth, target.name, k
             )
@@ -35,7 +43,7 @@ class TestDiscoveryOnSyntheticCorpus:
     def test_recall_grows_with_k(self, indexed_d3l, small_synthetic_benchmark):
         benchmark = small_synthetic_benchmark
         target = benchmark.pick_targets(1, seed=3)[0]
-        answer = indexed_d3l.query(target, k=12)
+        answer = query(indexed_d3l, target, 12)
         _, recall_small = precision_recall_at_k(answer, benchmark.ground_truth, target.name, 2)
         _, recall_large = precision_recall_at_k(answer, benchmark.ground_truth, target.name, 12)
         assert recall_large >= recall_small
@@ -45,7 +53,7 @@ class TestDiscoveryOnSyntheticCorpus:
     ):
         benchmark = small_synthetic_benchmark
         target = benchmark.pick_targets(1, seed=5)[0]
-        answer = indexed_d3l.query(target, k=3)
+        answer = query(indexed_d3l, target, 3)
         correct = 0
         total = 0
         for result in answer.top(3):
@@ -67,13 +75,13 @@ class TestJoinPathsIncreaseCoverage:
         targets = benchmark.pick_targets(4, seed=9)
         k = 3
         for target in targets:
-            augmented = indexed_d3l.query_with_joins(target, k=k)
+            response = query(indexed_d3l, target, k, joins=True)
             joined_per_start = {
-                start: augmented.tables_for(start)
-                for start in augmented.base.table_names(k)
+                start: response.join_paths.paths.reached_from(start)
+                for start in response.table_names(k)
             }
-            plain = target_coverage_at_k(augmented.base, target, k)
-            joined = target_coverage_with_joins(augmented.base, joined_per_start, target, k)
+            plain = target_coverage_at_k(response, target, k)
+            joined = target_coverage_with_joins(response, joined_per_start, target, k)
             assert joined >= plain - 1e-9
 
 
@@ -100,7 +108,11 @@ class TestComparativeBehaviour:
         scores = {"d3l": 0.0, "tus": 0.0, "aurum": 0.0}
         for target in targets:
             for name, engine in suite.systems().items():
-                answer = engine.query(target, k=k)
+                answer = (
+                    query(engine, target, k)
+                    if isinstance(engine, D3L)
+                    else engine.query(target, k=k)
+                )
                 _, recall = precision_recall_at_k(
                     answer, benchmark.ground_truth, target.name, k
                 )
@@ -117,9 +129,9 @@ class TestComparativeBehaviour:
         aggregate_recall = 0.0
         format_recall = 0.0
         for target in targets:
-            full = indexed_d3l_real.query(target, k=k)
-            format_only = indexed_d3l_real.query(
-                target, k=k, evidence_types=[EvidenceType.FORMAT]
+            full = query(indexed_d3l_real, target, k)
+            format_only = query(
+                indexed_d3l_real, target, k, evidence=[EvidenceType.FORMAT]
             )
             _, recall_full = precision_recall_at_k(full, benchmark.ground_truth, target.name, k)
             _, recall_format = precision_recall_at_k(

@@ -2,8 +2,16 @@
 
 import pytest
 
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.evidence import EvidenceType
 from repro.evaluation.experiments import experiment_example_distances, figure1_tables
+
+
+def query(engine, target, k, **options):
+    """The sequential engine's explained answer, through a session."""
+    return DiscoverySession(engine).submit(
+        QueryRequest(target=target, k=k, engine="sequential", explain=True, **options)
+    )
 
 
 class TestTable1Reproduction:
@@ -38,7 +46,7 @@ class TestTable1Reproduction:
 class TestFigure1Discovery:
     def test_s2_is_among_the_most_related(self, figure1_engine):
         target, _ = figure1_tables()
-        answer = figure1_engine.query(target, k=2)
+        answer = query(figure1_engine, target, 2)
         top_two = set(answer.table_names(2))
         # S2 shares three attribute names and most of its instance values
         # with the target, so it must be in the top 2 of 3 sources.
@@ -46,8 +54,8 @@ class TestFigure1Discovery:
 
     def test_all_three_sources_are_candidates(self, figure1_engine):
         target, _ = figure1_tables()
-        answer = figure1_engine.query(target, k=3)
-        assert answer.candidate_tables() == {
+        answer = query(figure1_engine, target, 3)
+        assert {ranking.table_name for ranking in answer.results} == {
             "gp_practices_s1",
             "gp_funding_s2",
             "local_gps_s3",
@@ -55,13 +63,13 @@ class TestFigure1Discovery:
 
     def test_s3_reachable_through_join_paths(self, figure1_engine):
         target, _ = figure1_tables()
-        augmented = figure1_engine.query_with_joins(target, k=2)
-        reachable = augmented.joined_tables | set(augmented.base.table_names(2))
+        response = query(figure1_engine, target, 2, joins=True)
+        reachable = set(response.join_paths.joined_tables) | set(response.table_names(2))
         assert "local_gps_s3" in reachable
 
     def test_hours_covered_only_via_s3(self, figure1_engine):
         target, _ = figure1_tables()
-        answer = figure1_engine.query(target, k=3)
+        answer = query(figure1_engine, target, 3)
         s3 = answer.result_for("local_gps_s3")
         assert s3 is not None
         assert "Hours" in s3.covered_target_attributes()

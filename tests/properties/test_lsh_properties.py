@@ -3,7 +3,6 @@
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.lsh.lsh_forest import LSHForest
-from repro.lsh.lsh_index import LSHIndex, optimal_bands
 from repro.lsh.minhash import MinHashFactory
 from repro.lsh.random_projection import RandomProjectionFactory
 
@@ -16,38 +15,6 @@ token_sets = st.lists(
     min_size=1,
     max_size=10,
 )
-
-
-class TestBandedIndexProperties:
-    @given(token_sets)
-    @settings(max_examples=40, deadline=None)
-    def test_every_item_retrieves_itself(self, sets):
-        index = LSHIndex(threshold=0.5, num_hashes=64)
-        signatures = {}
-        for i, tokens in enumerate(sets):
-            signature = _FACTORY.from_tokens(tokens)
-            signatures[i] = signature
-            index.insert(i, signature.hashvalues)
-        for i, signature in signatures.items():
-            assert i in index.query(signature.hashvalues)
-
-    @given(token_sets)
-    @settings(max_examples=40, deadline=None)
-    def test_remove_is_complete(self, sets):
-        index = LSHIndex(threshold=0.5, num_hashes=64)
-        for i, tokens in enumerate(sets):
-            index.insert(i, _FACTORY.from_tokens(tokens).hashvalues)
-        for i in range(len(sets)):
-            index.remove(i)
-        assert len(index) == 0
-        assert index.bucket_count() == 0
-
-    @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=8, max_value=256))
-    @settings(max_examples=60, deadline=None)
-    def test_optimal_bands_fit_signature(self, threshold, num_hashes):
-        bands, rows = optimal_bands(threshold, num_hashes)
-        assert bands >= 1 and rows >= 1
-        assert bands * rows <= num_hashes
 
 
 class TestForestProperties:
@@ -72,6 +39,38 @@ class TestForestProperties:
         results = forest.query(_FACTORY.from_tokens(sets[0]).hashvalues, k=k)
         assert len(results) <= len(sets)
         assert len(set(results)) == len(results)
+
+    @given(token_sets, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_removed_items_are_never_returned(self, sets, data):
+        forest = LSHForest(num_hashes=64, num_trees=8)
+        signatures = [_FACTORY.from_tokens(tokens).hashvalues for tokens in sets]
+        for i, signature in enumerate(signatures):
+            forest.insert(i, signature)
+        removed = data.draw(st.sets(st.sampled_from(range(len(sets)))))
+        for i in removed:
+            forest.remove(i)
+        assert len(forest) == len(sets) - len(removed)
+        for i, signature in enumerate(signatures):
+            results = forest.query(signature, k=len(sets))
+            assert removed.isdisjoint(results)
+            assert (i in results) == (i not in removed)
+
+    @given(token_sets)
+    @settings(max_examples=40, deadline=None)
+    def test_reinserted_items_retrieve_themselves(self, sets):
+        forest = LSHForest(num_hashes=64, num_trees=8)
+        signatures = [_FACTORY.from_tokens(tokens).hashvalues for tokens in sets]
+        for i, signature in enumerate(signatures):
+            forest.insert(i, signature)
+        for i in range(len(sets)):
+            forest.remove(i)
+        assert len(forest) == 0
+        assert forest.query(signatures[0], k=len(sets)) == []
+        for i, signature in enumerate(signatures):
+            forest.insert(i, signature)
+        for i, signature in enumerate(signatures):
+            assert i in forest.query(signature, k=len(sets))
 
 
 class TestRandomProjectionProperties:
