@@ -81,24 +81,39 @@ def combined_distance(
     [0, 1] for any non-negative weight vector, which the rest of the
     framework assumes of every distance.
     """
-    raw_weights = {
-        evidence: max(float(weights.get(evidence, 0.0)), 0.0)
-        for evidence in EvidenceType.all()
-    }
-    largest = max(raw_weights.values(), default=0.0)
-    if largest > 0.0:
-        raw_weights = {evidence: weight / largest for evidence, weight in raw_weights.items()}
+    values = [vector.get(evidence, 1.0) for evidence in EvidenceType.all()]
+    return combined_distances([values], weights)[0]
 
-    numerator = 0.0
+
+def combined_distances(
+    vectors: Sequence[Sequence[float]],
+    weights: Mapping[EvidenceType, float],
+) -> List[float]:
+    """:func:`combined_distance` of many vectors, each listing its five
+    distances in ``EvidenceType.all()`` order, with the weights rescaled once.
+
+    Every vector goes through the same float operations in the same order
+    as a :func:`combined_distance` call, so the values are identical.
+    """
+    raw_weights = [
+        max(float(weights.get(evidence, 0.0)), 0.0) for evidence in EvidenceType.all()
+    ]
+    largest = max(raw_weights, default=0.0)
+    if largest > 0.0:
+        raw_weights = [weight / largest for weight in raw_weights]
     denominator = 0.0
-    for evidence in EvidenceType.all():
-        weight = raw_weights[evidence]
-        value = float(vector.get(evidence, 1.0))
-        numerator += (weight * value) ** 2
+    for weight in raw_weights:
         denominator += weight
-    if denominator <= 0.0:
-        # Degenerate weighting: fall back to the unweighted Euclidean norm,
-        # normalised to stay within [0, 1].
-        values = [float(vector.get(evidence, 1.0)) for evidence in EvidenceType.all()]
-        return math.sqrt(sum(value ** 2 for value in values) / len(values))
-    return math.sqrt(numerator / denominator)
+    distances = []
+    for vector in vectors:
+        values = [float(value) for value in vector]
+        if denominator <= 0.0:
+            # Degenerate weighting: fall back to the unweighted Euclidean
+            # norm, normalised to stay within [0, 1].
+            distances.append(math.sqrt(sum(value ** 2 for value in values) / len(values)))
+            continue
+        numerator = 0.0
+        for weight, value in zip(raw_weights, values):
+            numerator += (weight * value) ** 2
+        distances.append(math.sqrt(numerator / denominator))
+    return distances

@@ -41,8 +41,11 @@ from repro.core.config import require_positive
 from repro.core.discovery import (
     D3L,
     AttributeSearchResult,
+    BuiltOnRead,
     QueryResult,
     QueryTarget,
+    TableResult,
+    TableResults,
     attribute_signature_maps,
 )
 from repro.core.evidence import EvidenceType
@@ -272,6 +275,42 @@ class TableRanking:
         return {match.target_attribute for match in self.matches}
 
 
+class TableRankings(BuiltOnRead):
+    """A table-level response's ranking, read as :class:`TableRanking` s.
+
+    Each ranking is built when it is read, from the engine's ranked results
+    (the batched engine's :class:`~repro.core.discovery.TableResults` also
+    builds its result objects on read), so a response whose wire copy keeps
+    k tables (:meth:`QueryResponse.truncated`) builds k rankings however
+    many tables the full ranking holds.
+    """
+
+    __slots__ = ("_results", "_explain")
+
+    def __init__(self, results: Sequence[TableResult], explain: bool) -> None:
+        self._results = results
+        self._explain = explain
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def _entry(self, position: int) -> TableRanking:
+        results = self._results
+        if not self._explain and isinstance(results, TableResults):
+            return TableRanking(
+                table_name=results.table_names[position], distance=results.distances[position]
+            )
+        entry = results[position]
+        if not self._explain:
+            return TableRanking(table_name=entry.table_name, distance=float(entry.distance))
+        return TableRanking(
+            table_name=entry.table_name,
+            distance=float(entry.distance),
+            evidence_distances=_float_distances(entry.evidence_distances),
+            matches=list(entry.matches),
+        )
+
+
 @dataclass
 class AttributeRanking:
     """One ranked lake attribute of an attribute-level response."""
@@ -309,8 +348,11 @@ class QueryResponse:
 
     ``results`` holds the full table ranking (ascending combined distance —
     slicing with :meth:`top` answers the requested k, keeping sweeps over k
-    cheap); ``attribute_results`` holds per-attribute rankings for
-    attribute-level requests.  Exactly one of the two is populated.
+    cheap); in a response the engine built it is a :class:`TableRankings`,
+    which builds each entry when it is read, and a response read back with
+    :meth:`from_dict` holds a plain list, which compares equal.
+    ``attribute_results`` holds per-attribute rankings for attribute-level
+    requests.  Exactly one of the two is populated.
     ``join_paths`` carries the SA-join extension when the request asked for
     ``joins`` (table-level only).
     """
@@ -323,7 +365,7 @@ class QueryResponse:
     explain: bool
     evidence: Optional[Tuple[EvidenceType, ...]]
     ranking_weights: Dict[EvidenceType, float]
-    results: Optional[List[TableRanking]] = None
+    results: Optional[Sequence[TableRanking]] = None
     attribute_results: Optional[Dict[str, List[AttributeRanking]]] = None
     join_paths: Optional[JoinPathsBlock] = None
 
@@ -840,21 +882,6 @@ def _ranking_weights_dict(weights_used: EvidenceWeights) -> Dict[EvidenceType, f
 def _table_response(
     request: QueryRequest, result: QueryResult, weights_used: EvidenceWeights
 ) -> QueryResponse:
-    rankings = []
-    for entry in result.results:
-        if request.explain:
-            rankings.append(
-                TableRanking(
-                    table_name=entry.table_name,
-                    distance=float(entry.distance),
-                    evidence_distances=_float_distances(entry.evidence_distances),
-                    matches=list(entry.matches),
-                )
-            )
-        else:
-            rankings.append(
-                TableRanking(table_name=entry.table_name, distance=float(entry.distance))
-            )
     return QueryResponse(
         target_name=result.target_name,
         target_arity=result.target_arity,
@@ -864,7 +891,7 @@ def _table_response(
         explain=request.explain,
         evidence=None if request.evidence is None else tuple(request.evidence),
         ranking_weights=_ranking_weights_dict(weights_used),
-        results=rankings,
+        results=TableRankings(result.results, request.explain),
     )
 
 

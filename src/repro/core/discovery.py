@@ -25,16 +25,17 @@ selects the oracle with ``QueryRequest(engine="sequential")``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.aggregation import combined_distance, evidence_vector
+from repro.core.aggregation import combined_distance, combined_distances, evidence_vector
 from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
 from repro.core.execution import IndexReadWriteLock
-from repro.core.indexes import D3LIndexes
+from repro.core.indexes import _NO_IDS, Candidates, D3LIndexes
 from repro.core.joins import JoinOverlapCache, JoinPathTree, SAJoinGraph, find_join_paths
 from repro.core.profiles import AttributeMatch, AttributeProfile, TableProfile
 from repro.core.weights import EvidenceWeights
@@ -66,6 +67,104 @@ class TableResult:
         return {match.target_attribute for match in self.matches}
 
 
+class BuiltOnRead(SequenceABC):
+    """A read-only sequence whose entries are built when read.
+
+    Subclasses give ``__len__`` and ``_entry(position)``.  Indexing,
+    slicing (a list), iteration and ``==`` with a list behave as on the list
+    of entries, and a pickled copy is that list.
+    """
+
+    __slots__ = ()
+
+    def _entry(self, position: int):
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._entry(position) for position in range(len(self))[index]]
+        return self._entry(range(len(self))[index])
+
+    def __iter__(self) -> Iterator:
+        return map(self._entry, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (BuiltOnRead, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # list-like equality
+
+    def __reduce__(self):
+        return (list, (list(self),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class TableResults(BuiltOnRead):
+    """The batched engine's ranking, read as a sequence of :class:`TableResult`.
+
+    The ranking is held as arrays: per ranked table its name, distance and
+    Equation 1 vector, and per (ranked table, target attribute) the winning
+    alignment, if any — its lake attribute id, five distances and Equation
+    2 weights.  A :class:`TableResult` and its :class:`AttributeMatch` list
+    are built only when an entry is read, so a request whose wire answer
+    keeps k tables builds k of them.
+    """
+
+    __slots__ = (
+        "table_names", "distances", "_vectors", "_aligned", "_ids",
+        "_match_distances", "_match_weights", "_attribute_names", "_refs",
+    )
+
+    def __init__(
+        self,
+        table_names: List[str],
+        distances: List[float],
+        vectors: np.ndarray,
+        aligned: np.ndarray,
+        ids: np.ndarray,
+        match_distances: np.ndarray,
+        match_weights: np.ndarray,
+        attribute_names: List[str],
+        refs: List[AttributeRef],
+    ) -> None:
+        #: Ranked table names, and their combined distances.
+        self.table_names = table_names
+        self.distances = distances
+        self._vectors = vectors
+        self._aligned = aligned
+        self._ids = ids
+        self._match_distances = match_distances
+        self._match_weights = match_weights
+        self._attribute_names = attribute_names
+        self._refs = refs
+
+    def __len__(self) -> int:
+        return len(self.table_names)
+
+    def _entry(self, position: int) -> TableResult:
+        evidence_types = EvidenceType.all()
+        matches = [
+            AttributeMatch(
+                target_attribute=self._attribute_names[attribute],
+                source=self._refs[self._ids[position, attribute]],
+                distances=dict(zip(evidence_types, self._match_distances[position, attribute].tolist())),
+                weights=dict(zip(evidence_types, self._match_weights[position, attribute].tolist())),
+            )
+            for attribute in np.flatnonzero(self._aligned[position]).tolist()
+        ]
+        return TableResult(
+            table_name=self.table_names[position],
+            distance=self.distances[position],
+            evidence_distances=dict(zip(evidence_types, self._vectors[position].tolist())),
+            matches=matches,
+        )
+
+
 @dataclass
 class QueryResult:
     """The full ranked answer for one target table.
@@ -74,12 +173,14 @@ class QueryResult:
     ascending combined distance; ``top(k)`` slices the ranking.  Keeping the
     full ranking around is what makes coverage/precision sweeps over k cheap
     and lets the join-path machinery test the ``I*.lookup(T)`` condition.
+    The batched engine's ``results`` are a :class:`TableResults`, which
+    builds each entry when it is read.
     """
 
     target_name: str
     target_arity: int
     requested_k: int
-    results: List[TableResult]
+    results: Sequence[TableResult]
 
     def top(self, k: Optional[int] = None) -> List[TableResult]:
         """The ``k`` most related tables (default: the requested k).
@@ -95,11 +196,19 @@ class QueryResult:
 
     def table_names(self, k: Optional[int] = None) -> List[str]:
         """Names of the top-k tables."""
-        return [result.table_name for result in self.top(k)]
+        k = self.requested_k if k is None else k
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        return self._names()[:k]
 
     def candidate_tables(self) -> Set[str]:
         """Every table related to the target by at least one index."""
-        return {result.table_name for result in self.results}
+        return set(self._names())
+
+    def _names(self) -> List[str]:
+        if isinstance(self.results, TableResults):
+            return self.results.table_names
+        return [result.table_name for result in self.results]
 
     def result_for(self, table_name: str) -> Optional[TableResult]:
         """The result entry of a specific table, when present."""
@@ -444,33 +553,60 @@ class D3L:
         fans the target attributes out across worker processes
         (:class:`~repro.core.parallel.ParallelQueryExecutor`).
 
+        Candidates travel as lake attribute ids (``D3LIndexes.ids``) from the
+        forests to the ranking, which runs as array passes
+        (:func:`rank_candidate_tables`) and returns a :class:`TableResults`:
+        result objects are built only for the entries a caller reads.
+
         Rankings, scores, and tie order are identical to
         :meth:`_execute_query` by construction: the same exact lookup tables
-        score the signatures, the same counts feed every CDF, and the same
-        sort keys break ties — which ``tests/core/test_batched_query.py``
-        locks down.
+        score the signatures, the same counts feed every CDF, the same float
+        operations run in the same order, and the same sort keys break ties
+        — which ``tests/core/test_batched_query.py`` locks down.
+
+        ``signature_maps`` (as produced by :func:`attribute_signature_maps`)
+        lets serving tiers that memoized the target's signatures — notably
+        :class:`~repro.core.api.DiscoverySession` — skip re-signing the
+        target on every repeated request; signatures are deterministic, so
+        the answer is unchanged.
         """
         target_profile, active_indexed, use_distribution, ranking_weights = (
             self._prepare_query(target, k, evidence_types, weights)
         )
         exclude_table = target_profile.table_name if exclude_self else None
         pool = self.config.candidate_pool_size(k)
-
-        matches = self._collect_matches_batched(
-            target_profile,
-            active_indexed,
-            use_distribution,
-            pool,
-            exclude_table,
-            workers=workers,
+        entries = list(target_profile.attributes.items())
+        context = dict(
+            active_indexed=tuple(active_indexed),
+            use_distribution=use_distribution,
+            pool=pool,
+            exclude_table=exclude_table,
             signature_maps=signature_maps,
-            backend=backend,
         )
+        if workers is not None and workers > 1:
+            # The shards split the target's attributes, so the subject's
+            # Algorithm 2 guard is resolved here for all of them.
+            attribute_distances = self._fanout_executor(workers, backend).collect(
+                target_profile.table_name,
+                entries,
+                subject_related_tables=self._subject_related_tables(
+                    target_profile, pool, exclude_table
+                ),
+                **context,
+            )
+        else:
+            attribute_distances = collect_attribute_candidate_distances(
+                self.indexes,
+                target_profile.table_name,
+                entries,
+                subject=target_profile.subject_attribute,
+                **context,
+            )
         return QueryResult(
             target_name=target_profile.table_name,
             target_arity=target_profile.arity,
             requested_k=k,
-            results=self._rank_tables(matches, ranking_weights),
+            results=rank_candidate_tables(self.indexes, attribute_distances, ranking_weights),
         )
 
     def augment_with_joins(self, base: QueryResult, k: int) -> JoinAugmentedResult:
@@ -606,50 +742,33 @@ class D3L:
         signature_maps = attribute_signature_maps(
             self.indexes, target.name, list(zip(names, profiles))
         )
+        _, ids_per_attribute, _, columns = _candidate_columns(
+            self.indexes, names, profiles, signature_maps, EvidenceType.indexed(), pool,
+            exclude_table,
+        )
+        for column, distances in zip(
+            columns,
+            self.indexes.multi_batch_attribute_distances(
+                EvidenceType.DISTRIBUTION, profiles, ids_per_attribute
+            ),
+        ):
+            column[EvidenceType.DISTRIBUTION] = distances
 
-        candidate_sets: List[Set[AttributeRef]] = [set() for _ in names]
-        for evidence in EvidenceType.indexed():
-            per_query = self.indexes.multi_lookup(
-                evidence,
-                [signature_maps[name][evidence] for name in names],
-                k=pool,
-                exclude_table=exclude_table,
-            )
-            for candidates, pairs in zip(candidate_sets, per_query):
-                candidates.update(ref for ref, _ in pairs)
-
-        refs_per_attribute = [sorted(candidates) for candidates in candidate_sets]
-        distance_columns = {
-            evidence: self.indexes.multi_batch_attribute_distances(
-                evidence,
-                profiles,
-                refs_per_attribute,
-                signatures=(
-                    [signature_maps[name][evidence] for name in names]
-                    if evidence.is_indexed
-                    else None
-                ),
-            )
-            for evidence in EvidenceType.all()
-        }
-
+        refs, ranks = self.indexes.ids.items, self.indexes.ids.ranks()
         answers: Dict[str, List[AttributeSearchResult]] = {}
-        for position, name in enumerate(names):
-            results: List[AttributeSearchResult] = []
-            for index, ref in enumerate(refs_per_attribute[position]):
-                distances = {
-                    evidence: float(distance_columns[evidence][position][index])
-                    for evidence in EvidenceType.all()
-                }
-                results.append(
-                    AttributeSearchResult(
-                        ref=ref,
-                        distances=distances,
-                        distance=combined_distance(distances, ranking_weights),
-                    )
+        for name, ids, column in zip(names, ids_per_attribute, columns):
+            vectors = np.stack([column[evidence] for evidence in EvidenceType.all()], axis=1)
+            distances = combined_distances(vectors.tolist(), ranking_weights)
+            # (distance, ref rank) == (distance, ref), the oracle's order.
+            order = np.lexsort((ranks[ids], distances))[:k].tolist()
+            answers[name] = [
+                AttributeSearchResult(
+                    ref=refs[ids[index]],
+                    distances=dict(zip(EvidenceType.all(), vectors[index].tolist())),
+                    distance=distances[index],
                 )
-            results.sort(key=lambda result: (result.distance, result.ref))
-            answers[name] = results[:k]
+                for index in order
+            ]
         return answers
 
     # ------------------------------------------------------------------ #
@@ -801,69 +920,6 @@ class D3L:
             table_name: list(matches.values()) for table_name, matches in per_table.items()
         }
 
-    def _collect_matches_batched(
-        self,
-        target_profile: TableProfile,
-        active_indexed: Sequence[EvidenceType],
-        use_distribution: bool,
-        pool: int,
-        exclude_table: Optional[str],
-        workers: Optional[int] = None,
-        signature_maps: Optional[Dict[str, Dict[EvidenceType, object]]] = None,
-        backend: str = "process",
-    ) -> Dict[str, List[AttributeMatch]]:
-        """Batched counterpart of :meth:`_collect_matches`.
-
-        Candidate collection and distance computation run as per-evidence
-        sweeps over every target attribute at once
-        (:func:`collect_attribute_candidate_distances`); ``workers > 1``
-        shards the target attributes across worker processes with the same
-        partition/merge discipline index construction uses.  The merge runs
-        in the target profile's attribute order — the order the sequential
-        engine iterates — so the resulting matches are identical.
-
-        ``signature_maps`` (as produced by :func:`attribute_signature_maps`)
-        lets serving tiers that memoized the target's signatures — notably
-        :class:`~repro.core.api.DiscoverySession` — skip re-signing the
-        target on every repeated request; signatures are deterministic, so
-        the answer is unchanged.
-        """
-        subject_related_tables = self._subject_related_tables(
-            target_profile, pool, exclude_table
-        )
-        entries = list(target_profile.attributes.items())
-        if workers is not None and workers > 1:
-            executor = self._fanout_executor(workers, backend)
-            attribute_distances = executor.collect(
-                target_profile.table_name,
-                entries,
-                active_indexed=tuple(active_indexed),
-                use_distribution=use_distribution,
-                pool=pool,
-                exclude_table=exclude_table,
-                subject_related_tables=subject_related_tables,
-                signature_maps=signature_maps,
-            )
-        else:
-            attribute_distances = collect_attribute_candidate_distances(
-                self.indexes,
-                target_profile.table_name,
-                entries,
-                active_indexed=tuple(active_indexed),
-                use_distribution=use_distribution,
-                pool=pool,
-                exclude_table=exclude_table,
-                subject_related_tables=subject_related_tables,
-                signature_maps=signature_maps,
-            )
-
-        per_table: Dict[str, Dict[str, AttributeMatch]] = {}
-        for attribute_name, refs, columns in attribute_distances:
-            _merge_attribute_matches_batched(per_table, attribute_name, refs, columns)
-        return {
-            table_name: list(matches.values()) for table_name, matches in per_table.items()
-        }
-
     def _subject_related_tables(
         self,
         target_profile: TableProfile,
@@ -941,9 +997,81 @@ def attribute_signature_maps(
     return indexes.batch_signatures([pseudo])[table_name]
 
 
-#: One batched attribute's collected candidates: ``(attribute name, sorted
-#: candidate refs, {evidence: distance column aligned with the refs})``.
-AttributeCandidates = Tuple[str, List[AttributeRef], Dict[EvidenceType, np.ndarray]]
+#: One batched attribute's collected candidates: ``(attribute name,
+#: candidate attribute ids in ref order, {evidence: distance column aligned
+#: with the ids})``.
+AttributeCandidates = Tuple[str, np.ndarray, Dict[EvidenceType, np.ndarray]]
+
+
+def _candidate_columns(
+    indexes: D3LIndexes,
+    names: Sequence[str],
+    profiles: Sequence[AttributeProfile],
+    signature_maps: Dict[str, Dict[EvidenceType, object]],
+    evidence_types: Sequence[EvidenceType],
+    pool: int,
+    exclude_table: Optional[str],
+) -> Tuple[
+    Dict[EvidenceType, List[Candidates]],
+    List[np.ndarray],
+    List[Dict[EvidenceType, np.ndarray]],
+    List[Dict[EvidenceType, np.ndarray]],
+]:
+    """Candidates and indexed distance columns of many target attributes.
+
+    One multi-query lookup per evidence type in ``evidence_types``; each
+    attribute's candidates are the union of its lookups, as lake attribute
+    ids in ref order.  Every (attribute, candidate, evidence) distance is
+    computed once: a lookup already scored its own candidates, and one
+    row-aligned kernel per indexed evidence type scores the rest.  Returns
+    the lookups, the candidate ids per attribute, where each lookup's ids
+    sit among them, and the distance columns (the four indexed types, plus
+    an all-ones distribution column).
+    """
+    lookups = {
+        evidence: indexes.multi_lookup(
+            evidence,
+            [signature_maps[name][evidence] for name in names],
+            k=pool,
+            exclude_table=exclude_table,
+        )
+        for evidence in evidence_types
+    }
+    ranks = indexes.ids.ranks()
+    ids_per_attribute: List[np.ndarray] = []
+    found_at: List[Dict[EvidenceType, np.ndarray]] = []
+    for position in range(len(names)):
+        found = [lookups[evidence][position].ids for evidence in evidence_types]
+        ids = np.unique(np.concatenate(found)) if found else _NO_IDS
+        ids = ids[np.argsort(ranks[ids])]
+        ids_per_attribute.append(ids)
+        found_at.append({
+            evidence: np.searchsorted(ranks[ids], ranks[lookup])
+            for evidence, lookup in zip(evidence_types, found)
+        })
+    columns = [
+        {evidence: np.ones(len(ids), dtype=np.float64) for evidence in EvidenceType.all()}
+        for ids in ids_per_attribute
+    ]
+    for evidence in EvidenceType.indexed():
+        rest: List[np.ndarray] = []
+        for position, ids in enumerate(ids_per_attribute):
+            unscored = np.ones(len(ids), dtype=bool)
+            if evidence in lookups:
+                at = found_at[position][evidence]
+                columns[position][evidence][at] = lookups[evidence][position].distances
+                unscored[at] = False
+            rest.append(np.flatnonzero(unscored))
+        if any(len(positions) for positions in rest):
+            scored = indexes.multi_batch_attribute_distances(
+                evidence,
+                profiles,
+                [ids[positions] for ids, positions in zip(ids_per_attribute, rest)],
+                signatures=[signature_maps[name][evidence] for name in names],
+            )
+            for column, positions, distances in zip(columns, rest, scored):
+                column[evidence][positions] = distances
+    return lookups, ids_per_attribute, found_at, columns
 
 
 def collect_attribute_candidate_distances(
@@ -954,22 +1082,28 @@ def collect_attribute_candidate_distances(
     use_distribution: bool,
     pool: int,
     exclude_table: Optional[str],
-    subject_related_tables: Set[str],
     signature_maps: Optional[Dict[str, Dict[EvidenceType, object]]] = None,
+    subject: Optional[str] = None,
+    subject_related_tables: Optional[Set[str]] = None,
 ) -> List[AttributeCandidates]:
     """Full candidate distance columns of many target attributes, batched.
 
     The batched engine's per-attribute unit of work, and the function
     :class:`~repro.core.parallel.ParallelQueryExecutor` ships to its shard
-    workers: signatures are computed in one batched pass, candidates are
-    retrieved with one multi-query lookup per active evidence type, the
-    signature-backed distance columns come from one row-aligned kernel per
-    evidence type, and Algorithm 2 runs as one KS sweep per numeric
-    attribute.  Distances stay in per-evidence NumPy columns — per-candidate
-    Python structures are deferred to the merge, which only materialises the
-    winning alignments.  Column values are identical to what the sequential
+    workers: one multi-query lookup per active evidence type, each
+    attribute's candidates as lake attribute ids in ref order, each
+    distance computed once (:func:`_candidate_columns`), and Algorithm 2
+    as one KS sweep per numeric attribute over the candidates its guard
+    passes.  Column values are identical to what the sequential
     ``_collect_matches`` computes per attribute; attributes without
     candidates are omitted, as the sequential loop omits them.
+
+    The guard's subject tables (those whose attributes the target's subject
+    attribute retrieves within the LSH threshold through any index) come
+    from the lookups of ``subject``, the subject attribute's name, plus one
+    lookup per indexed evidence type the request leaves out — only when a
+    numeric attribute has candidates.  ``subject_related_tables`` gives
+    them instead, for shards that may not hold the subject.
 
     ``signature_maps`` may carry precomputed per-attribute query signatures
     (from :func:`attribute_signature_maps`, possibly memoized by a serving
@@ -981,161 +1115,170 @@ def collect_attribute_candidate_distances(
     if not entries:
         return []
     names = [name for name, _ in entries]
-    profiles = [profile for _, profile in entries]
     if signature_maps is None:
         signature_maps = attribute_signature_maps(indexes, table_name, entries)
+    lookups, ids_per_attribute, found_at, columns = _candidate_columns(
+        indexes, names, [profile for _, profile in entries], signature_maps, active_indexed,
+        pool, exclude_table,
+    )
     cutoff = indexes.threshold_distance()
-
-    candidate_sets: List[Set[AttributeRef]] = [set() for _ in entries]
-    # The Algorithm 2 guard consults the name/format lookups of *numeric*
-    # target attributes; every other (evidence, attribute) lookup only
-    # contributes its candidates to the union.
-    guard_lookups: List[Dict[EvidenceType, Dict[AttributeRef, float]]] = [
-        {} for _ in entries
-    ]
-    for evidence in active_indexed:
-        per_query = indexes.multi_lookup(
-            evidence,
-            [signature_maps[name][evidence] for name in names],
-            k=pool,
-            exclude_table=exclude_table,
-        )
-        keep_guard = use_distribution and evidence in (
-            EvidenceType.NAME,
-            EvidenceType.FORMAT,
-        )
-        for position, pairs in enumerate(per_query):
-            candidate_sets[position].update(ref for ref, _ in pairs)
-            if keep_guard and profiles[position].is_numeric:
-                guard_lookups[position][evidence] = dict(pairs)
-
-    refs_per_attribute = [sorted(candidates) for candidates in candidate_sets]
-    distance_columns = {
-        evidence: indexes.multi_batch_attribute_distances(
-            evidence,
-            profiles,
-            refs_per_attribute,
-            signatures=[signature_maps[name][evidence] for name in names],
-        )
-        for evidence in EvidenceType.indexed()
-    }
-
-    results: List[AttributeCandidates] = []
-    for position, (name, profile) in enumerate(entries):
-        refs = refs_per_attribute[position]
-        if not refs:
+    tables = indexes.ids.tables()
+    guard_tables: Optional[np.ndarray] = None
+    for position, (_, profile) in enumerate(entries):
+        ids = ids_per_attribute[position]
+        if not use_distribution or not profile.is_numeric or not len(ids):
             continue
-        columns = {
-            evidence: distance_columns[evidence][position]
-            for evidence in EvidenceType.indexed()
-        }
-        columns[EvidenceType.DISTRIBUTION] = (
-            _batched_distribution_distances(
-                indexes,
-                profile,
-                refs,
-                guard_lookups[position],
-                subject_related_tables,
-                cutoff,
+        if guard_tables is None:
+            guard_tables = _subject_tables(
+                indexes, names, signature_maps, lookups, subject, subject_related_tables,
+                pool, exclude_table, cutoff,
             )
-            if use_distribution
-            else np.ones(len(refs), dtype=np.float64)
-        )
-        results.append((name, refs, columns))
-    return results
+        # Algorithm 2's guard: the candidate's table is subject-related, or
+        # its name or format lookup returned it within the threshold.
+        guard = np.isin(tables[ids], guard_tables)
+        for evidence in (EvidenceType.NAME, EvidenceType.FORMAT):
+            if evidence in lookups:
+                at = found_at[position][evidence]
+                guard[at] |= lookups[evidence][position].distances <= cutoff
+        guarded = np.flatnonzero(guard)
+        positions, extents = indexes.numeric_extents(ids[guarded])
+        if extents:
+            columns[position][EvidenceType.DISTRIBUTION][guarded[positions]] = (
+                ks_statistic_sorted_many(profile.numeric_sorted, extents)
+            )
+    return [
+        (name, ids, column)
+        for name, ids, column in zip(names, ids_per_attribute, columns)
+        if len(ids)
+    ]
 
 
-def _batched_distribution_distances(
+def _subject_tables(
     indexes: D3LIndexes,
-    profile: AttributeProfile,
-    refs: Sequence[AttributeRef],
-    lookups: Mapping[EvidenceType, Mapping[AttributeRef, float]],
-    subject_related_tables: Set[str],
+    names: Sequence[str],
+    signature_maps: Dict[str, Dict[EvidenceType, object]],
+    lookups: Mapping[EvidenceType, List[Candidates]],
+    subject: Optional[str],
+    subject_related_tables: Optional[Set[str]],
+    pool: int,
+    exclude_table: Optional[str],
     cutoff: float,
 ) -> np.ndarray:
-    """Algorithm 2 for one target attribute as a single vectorized KS sweep.
+    """Table codes of Algorithm 2's subject guard (see
+    :func:`collect_attribute_candidate_distances`)."""
+    if subject_related_tables is not None:
+        return np.asarray(
+            [indexes.ids.table_code(name) for name in subject_related_tables], dtype=np.int32
+        )
+    if subject is None or subject not in names:
+        return _NO_IDS
+    position = names.index(subject)
+    found: List[np.ndarray] = []
+    for evidence in EvidenceType.indexed():
+        if evidence in lookups:
+            candidates = lookups[evidence][position]
+            found.append(candidates.ids[candidates.distances <= cutoff])
+        else:
+            (candidates,) = indexes.multi_lookup(
+                evidence,
+                [signature_maps[subject][evidence]],
+                k=pool,
+                exclude_table=exclude_table,
+                max_distance=cutoff,
+            )
+            found.append(candidates.ids)
+    return np.unique(indexes.ids.tables()[np.concatenate(found)])
 
-    Applies the same per-candidate guard as ``_distribution_distance`` (the
-    oracle), then evaluates every surviving candidate against the target's
-    cached sorted extent in one :func:`ks_statistic_sorted_many` call.
+
+def rank_candidate_tables(
+    indexes: D3LIndexes,
+    attribute_distances: Sequence[AttributeCandidates],
+    ranking_weights: EvidenceWeights,
+) -> TableResults:
+    """Equations 2, 1 and 3 over the collected candidates, as array passes.
+
+    Per target attribute, in target order: the Equation 2 weights of each
+    evidence column (:func:`ccdf_weights_many` per candidate pool,
+    bit-identical to the scalar ``ccdf_weight`` loop), then the best
+    alignment per source table — the smallest mean distance, the first
+    candidate in ref order on ties, as the sequential engine's
+    strict-improvement scan picks it.  On table × attribute grids, each
+    table's Equation 1 vector is summed attribute by attribute in target
+    order, as ``aggregate_column`` sums it (an absent alignment adds 0.0,
+    which changes no sum), and its Equation 3 distance follows
+    (:func:`~repro.core.aggregation.combined_distances`).  Tables are
+    ranked by ``(distance, table name)``.
     """
-    distances = np.ones(len(refs), dtype=np.float64)
-    if not profile.is_numeric:
-        return distances
-    name_lookup = lookups.get(EvidenceType.NAME, {})
-    format_lookup = lookups.get(EvidenceType.FORMAT, {})
-    positions: List[int] = []
-    extents: List[np.ndarray] = []
-    for position, ref in enumerate(refs):
-        other = indexes.profiles.get(ref)
-        if other is None or not other.is_numeric:
-            continue
-        guard = (
-            ref.table in subject_related_tables
-            or name_lookup.get(ref, 1.0) <= cutoff
-            or format_lookup.get(ref, 1.0) <= cutoff
+    evidence_types = EvidenceType.all()
+    tables = indexes.ids.tables()
+    attribute_names = [name for name, _, _ in attribute_distances]
+    winners = []
+    for attribute, (_, ids, columns) in enumerate(attribute_distances):
+        weight_columns = []
+        means: Optional[np.ndarray] = None
+        for evidence in evidence_types:
+            column = columns[evidence]
+            observed = column < 1.0
+            weights = ccdf_weights_many(column, column[observed])
+            weights[~observed] = 0.0
+            weight_columns.append(weights)
+            # Accumulating in EvidenceType.all() order reproduces the float
+            # addition sequence of AttributeMatch.mean_distance exactly.
+            means = column.copy() if means is None else means + column
+        means /= len(evidence_types)
+        codes = tables[ids]
+        # Stable: equal (table, mean) keep ref order, so each table's first
+        # entry is its first candidate with the smallest mean.
+        order = np.lexsort((means, codes))
+        ordered = codes[order]
+        best = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        winners.append((
+            codes[best],
+            np.full(best.shape[0], attribute),
+            ids[best],
+            np.stack([columns[evidence][best] for evidence in evidence_types], axis=1),
+            np.stack([weights[best] for weights in weight_columns], axis=1),
+        ))
+    if winners:
+        codes, attributes, ids, distances, weights = map(np.concatenate, zip(*winners))
+    else:
+        codes = attributes = ids = _NO_IDS
+        distances = weights = np.empty((0, len(evidence_types)))
+    table_codes, table_of = np.unique(codes, return_inverse=True)
+    shape = (table_codes.shape[0], len(attribute_names))
+    aligned = np.zeros(shape, dtype=bool)
+    aligned[table_of, attributes] = True
+    grid_ids = np.zeros(shape, dtype=np.int32)
+    grid_ids[table_of, attributes] = ids
+    grid_distances = np.zeros(shape + (len(evidence_types),))
+    grid_distances[table_of, attributes] = distances
+    grid_weights = np.zeros_like(grid_distances)
+    grid_weights[table_of, attributes] = weights
+    # Equation 1, or the plain mean when every weight is zero.
+    weighted_sum = np.zeros((shape[0], len(evidence_types)))
+    weight_sum = np.zeros_like(weighted_sum)
+    plain_sum = np.zeros_like(weighted_sum)
+    for attribute in range(shape[1]):
+        weighted_sum += grid_weights[:, attribute] * grid_distances[:, attribute]
+        weight_sum += grid_weights[:, attribute]
+        plain_sum += grid_distances[:, attribute]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vectors = np.where(
+            weight_sum <= 0.0,
+            plain_sum / aligned.sum(axis=1)[:, np.newaxis],
+            weighted_sum / weight_sum,
         )
-        if not guard:
-            continue
-        positions.append(position)
-        extents.append(other.numeric_sorted)
-    if positions:
-        distances[np.asarray(positions, dtype=np.intp)] = ks_statistic_sorted_many(
-            profile.numeric_sorted, extents
-        )
-    return distances
-
-
-def _merge_attribute_matches_batched(
-    per_table: Dict[str, Dict[str, AttributeMatch]],
-    attribute_name: str,
-    refs: Sequence[AttributeRef],
-    columns: Dict[EvidenceType, np.ndarray],
-) -> None:
-    """Fold one attribute's candidate distance columns into the alignments.
-
-    The batched counterpart of the merge inside ``_collect_matches``: the
-    Equation 2 populations are weighted per candidate pool with one sorted
-    pass per evidence type (:func:`ccdf_weights_many`, bit-identical to the
-    scalar ``ccdf_weight`` loop), the best-alignment rule scans the
-    candidates in the same sorted-ref order with the same strict-improvement
-    tie rule, and only the winning alignment of each source table is
-    materialised as an :class:`AttributeMatch` — losers never leave the
-    arrays.
-    """
-    weight_columns: Dict[EvidenceType, np.ndarray] = {}
-    means: Optional[np.ndarray] = None
-    for evidence in EvidenceType.all():
-        column = columns[evidence]
-        observed = column < 1.0
-        weights = ccdf_weights_many(column, column[observed])
-        weights[~observed] = 0.0
-        weight_columns[evidence] = weights
-        # Accumulating in EvidenceType.all() order reproduces the float
-        # addition sequence of AttributeMatch.mean_distance exactly.
-        means = column.copy() if means is None else means + column
-    means /= len(EvidenceType.all())
-
-    best: Dict[str, Tuple[float, int]] = {}
-    mean_list = means.tolist()
-    for index, ref in enumerate(refs):
-        mean = mean_list[index]
-        current = best.get(ref.table)
-        if current is None or mean < current[0]:
-            best[ref.table] = (mean, index)
-
-    for table, (_, index) in best.items():
-        ref = refs[index]
-        match = AttributeMatch(
-            target_attribute=attribute_name,
-            source=ref,
-            distances={
-                evidence: float(columns[evidence][index])
-                for evidence in EvidenceType.all()
-            },
-            weights={
-                evidence: float(weight_columns[evidence][index])
-                for evidence in EvidenceType.all()
-            },
-        )
-        per_table.setdefault(table, {})[attribute_name] = match
+    table_distances = combined_distances(vectors.tolist(), ranking_weights)
+    names = [indexes.ids.table_names[code] for code in table_codes.tolist()]
+    ranked = sorted(range(len(names)), key=lambda table: (table_distances[table], names[table]))
+    return TableResults(
+        [names[table] for table in ranked],
+        [table_distances[table] for table in ranked],
+        vectors[ranked],
+        aligned[ranked],
+        grid_ids[ranked],
+        grid_distances[ranked],
+        grid_weights[ranked],
+        attribute_names,
+        indexes.ids.items,
+    )

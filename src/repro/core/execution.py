@@ -101,17 +101,25 @@ class IndexReadWriteLock:
     The thread-serving path answers queries off the engine's *live* indexes,
     so an ``index_table``/``remove_table`` that swaps signature matrices
     mid-query would hand a reader inconsistent array shapes.  Queries enter
-    through :func:`repro.core.api.execute` on the read side; the engine's
-    mutators take the write side, which waits for in-flight readers to
-    drain.  Readers are never parked behind a *waiting* writer, so nested
-    read acquisitions on one thread cannot deadlock; mutations are rare and
-    bounded, so writer starvation is not a practical serving concern.
+    through :meth:`repro.core.api.DiscoverySession.submit` on the read side;
+    the engine's mutators take the write side, which waits for in-flight
+    readers to drain.
+
+    A waiting writer goes first: a reader arriving while a writer waits is
+    parked behind it, so a mutation under steady query traffic waits only
+    for the queries already running, not until overlapping queries happen
+    to leave the reader count at zero.  A thread that already holds the
+    read side may read again while a writer waits — parking it would
+    deadlock, since the writer waits for it — which a per-thread hold count
+    tells apart.
     """
 
     def __init__(self) -> None:
         self._condition = threading.Condition()
         self._readers = 0
         self._writing = False
+        self._writers_waiting = 0
+        self._held = threading.local()
 
     def __getstate__(self) -> dict:
         # Lock state never travels: an engine copied across a process
@@ -123,13 +131,16 @@ class IndexReadWriteLock:
 
     @contextmanager
     def read(self):
+        held = getattr(self._held, "count", 0)
         with self._condition:
-            while self._writing:
+            while self._writing or (self._writers_waiting and not held):
                 self._condition.wait()
             self._readers += 1
+        self._held.count = held + 1
         try:
             yield
         finally:
+            self._held.count = held
             with self._condition:
                 self._readers -= 1
                 if not self._readers:
@@ -138,8 +149,12 @@ class IndexReadWriteLock:
     @contextmanager
     def write(self):
         with self._condition:
-            while self._writing or self._readers:
-                self._condition.wait()
+            self._writers_waiting += 1
+            try:
+                while self._writing or self._readers:
+                    self._condition.wait()
+            finally:
+                self._writers_waiting -= 1
             self._writing = True
         try:
             yield

@@ -15,7 +15,8 @@ kept in the attribute profiles for the KS-based D evidence (Algorithm 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
 from repro.core.profiles import AttributeProfile, TableProfile
 from repro.lake.datalake import AttributeRef, DataLake
-from repro.lsh.lsh_forest import LSHForest
+from repro.lsh.lsh_forest import ItemIds, LSHForest, Walk
 from repro.lsh.minhash import (
     MinHash,
     MinHashFactory,
@@ -49,9 +50,58 @@ Signature = object
 #: set and must fall back to full invalidation.
 _MUTATION_LOG_LIMIT = 64
 
+#: An empty id array (no candidates).
+_NO_IDS = np.empty(0, dtype=np.int32)
+
+
+class AttributeIds(ItemIds):
+    """The ``int32`` ids of one lake's attributes, with each id's table.
+
+    One registry is shared by the four forests and the four signature
+    matrices of a :class:`D3LIndexes`, so a forest candidate's id is also
+    its row key in every matrix.  Ids are process-local and never
+    persisted: a load, a snapshot attach or a delta apply assigns them
+    afresh.  Ranks order ids as :class:`~repro.lake.datalake.AttributeRef`
+    orders refs — by table, then column — and every table gets a code the
+    same way (never reused).
+    """
+
+    def __init__(self) -> None:
+        super().__init__(sort_key=attrgetter("table", "column"))
+        #: The name of each table code.
+        self.table_names: List[str] = []
+        self._code_of: Dict[str, int] = {}
+        self._table_of: List[int] = []
+        self._tables = _NO_IDS
+
+    def _assigned(self, ref: AttributeRef) -> None:
+        code = self._code_of.get(ref.table)
+        if code is None:
+            code = self._code_of[ref.table] = len(self.table_names)
+            self.table_names.append(ref.table)
+        self._table_of.append(code)
+
+    def table_code(self, table_name: Optional[str]) -> int:
+        """The code of ``table_name`` (-1 when none of its attributes has an id)."""
+        return self._code_of.get(table_name, -1)
+
+    def tables(self) -> np.ndarray:
+        """The ``int32`` table code of every id (cached until an id is added)."""
+        if self._tables.shape[0] != len(self._table_of):
+            self._tables = np.asarray(self._table_of, dtype=np.int32)
+        return self._tables
+
+
+class Candidates(NamedTuple):
+    """One lookup's answer: attribute ids in ``(distance, ref)`` order, and
+    their distances (``float64``)."""
+
+    ids: np.ndarray
+    distances: np.ndarray
+
 
 class SignatureMatrix:
-    """Per-evidence signature matrix with a ref↔row registry.
+    """Per-evidence signature matrix with an id↔row registry.
 
     All signatures of one index live in a single ``(N, num_hashes)`` array so
     that the distances between a query signature and any subset of stored
@@ -60,28 +110,52 @@ class SignatureMatrix:
     calls.  A parallel boolean flag per row marks degenerate signatures
     (empty MinHash / zero-vector projection) whose distance is pinned at 1.0.
 
-    Rows are stable between removals; a removal swaps the last row into the
-    vacated slot and updates the registry, so the dense block stays packed.
+    Rows belong to ids of ``ids`` (a registry of its own unless the caller
+    shares one); :meth:`rows` maps ids to rows in one gather.  Rows are
+    stable between removals; a removal swaps the last row into the vacated
+    slot and updates the registry, so the dense block stays packed.
     """
 
-    def __init__(self, num_hashes: int, dtype: np.dtype) -> None:
+    def __init__(self, num_hashes: int, dtype: np.dtype, ids: Optional[ItemIds] = None) -> None:
         self.num_hashes = num_hashes
         self._dtype = np.dtype(dtype)
+        self._ids = ItemIds() if ids is None else ids
         self._matrix = np.empty((0, num_hashes), dtype=self._dtype)
         self._flags = np.empty(0, dtype=bool)
-        self._refs: List[AttributeRef] = []
-        self._row_of: Dict[AttributeRef, int] = {}
-        self._ref_ranks: Optional[np.ndarray] = None
+        #: The id of each row.
+        self._items: List[int] = []
+        #: The row of each id (-1: not stored; ids past its end have none).
+        self._row_of = _NO_IDS
 
     def __len__(self) -> int:
-        return len(self._refs)
+        return len(self._items)
 
     def __contains__(self, ref: AttributeRef) -> bool:
-        return ref in self._row_of
+        return self.row(ref) is not None
 
     def row(self, ref: AttributeRef) -> Optional[int]:
         """Current row of ``ref`` (None when not stored)."""
-        return self._row_of.get(ref)
+        item = self._ids.find(ref)
+        if item is None or item >= self._row_of.shape[0] or self._row_of[item] < 0:
+            return None
+        return int(self._row_of[item])
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The row of each id (-1 where the id has no row here)."""
+        if self._row_of.shape[0] >= len(self._ids):
+            return self._row_of[ids]
+        rows = np.full(ids.shape[0], -1, dtype=np.int32)
+        inside = ids < self._row_of.shape[0]
+        rows[inside] = self._row_of[ids[inside]]
+        return rows
+
+    def _place(self, items: Sequence[int], first_row: int) -> None:
+        """Record ``items`` at consecutive rows from ``first_row``."""
+        if len(self._ids) > self._row_of.shape[0]:
+            grown = np.full(max(len(self._ids), 2 * self._row_of.shape[0]), -1, dtype=np.int32)
+            grown[: self._row_of.shape[0]] = self._row_of
+            self._row_of = grown
+        self._row_of[list(items)] = np.arange(first_row, first_row + len(items), dtype=np.int32)
 
     def _ensure_writable(self) -> None:
         """Copy-on-write guard for mutating a matrix adopted as shared views.
@@ -99,26 +173,7 @@ class SignatureMatrix:
 
     def add(self, ref: AttributeRef, values: np.ndarray, degenerate: bool) -> None:
         """Insert (or overwrite) the signature row of ``ref``."""
-        self._ensure_writable()
-        existing = self._row_of.get(ref)
-        if existing is not None:
-            self._matrix[existing] = values
-            self._flags[existing] = degenerate
-            return
-        count = len(self._refs)
-        if count == self._matrix.shape[0]:
-            capacity = max(8, 2 * count)
-            matrix = np.empty((capacity, self.num_hashes), dtype=self._dtype)
-            matrix[:count] = self._matrix[:count]
-            self._matrix = matrix
-            flags = np.empty(capacity, dtype=bool)
-            flags[:count] = self._flags[:count]
-            self._flags = flags
-        self._matrix[count] = values
-        self._flags[count] = degenerate
-        self._refs.append(ref)
-        self._row_of[ref] = count
-        self._ref_ranks = None
+        self.add_batch([ref], np.asarray(values)[np.newaxis], np.asarray([degenerate]))
 
     def add_batch(
         self, refs: Sequence[AttributeRef], values: np.ndarray, degenerate: np.ndarray
@@ -129,26 +184,26 @@ class SignatureMatrix:
         the overwrite semantics for refs already stored), but appends all the
         genuinely new rows as a single block.
         """
-        refs = list(refs)
+        items = [self._ids.assign(ref) for ref in refs]
         values = np.asarray(values)
         degenerate = np.asarray(degenerate, dtype=bool)
         self._ensure_writable()
+        existing = self.rows(np.asarray(items, dtype=np.int64))
         fresh_positions: List[int] = []
-        fresh_of: Dict[AttributeRef, int] = {}
-        for position, ref in enumerate(refs):
-            existing = self._row_of.get(ref)
-            if existing is not None:
-                self._matrix[existing] = values[position]
-                self._flags[existing] = degenerate[position]
-            elif ref in fresh_of:
+        fresh_of: Dict[int, int] = {}
+        for position, (item, row) in enumerate(zip(items, existing.tolist())):
+            if row >= 0:
+                self._matrix[row] = values[position]
+                self._flags[row] = degenerate[position]
+            elif item in fresh_of:
                 # Duplicate within the batch: later occurrence overwrites.
-                fresh_positions[fresh_of[ref]] = position
+                fresh_positions[fresh_of[item]] = position
             else:
-                fresh_of[ref] = len(fresh_positions)
+                fresh_of[item] = len(fresh_positions)
                 fresh_positions.append(position)
         if not fresh_positions:
             return
-        count = len(self._refs)
+        count = len(self._items)
         needed = count + len(fresh_positions)
         if needed > self._matrix.shape[0]:
             capacity = max(8, 2 * count, needed)
@@ -161,27 +216,23 @@ class SignatureMatrix:
         fresh = np.asarray(fresh_positions, dtype=np.intp)
         self._matrix[count:needed] = values[fresh]
         self._flags[count:needed] = degenerate[fresh]
-        for offset, position in enumerate(fresh_positions):
-            ref = refs[position]
-            self._refs.append(ref)
-            self._row_of[ref] = count + offset
-        self._ref_ranks = None
+        self._items.extend(items[position] for position in fresh_positions)
+        self._place(self._items[count:], count)
 
     def discard(self, ref: AttributeRef) -> None:
         """Remove the row of ``ref`` (no-op when absent), keeping rows packed."""
-        row = self._row_of.pop(ref, None)
+        row = self.row(ref)
         if row is None:
             return
         self._ensure_writable()
-        last = len(self._refs) - 1
+        self._row_of[self._items[row]] = -1
+        last = len(self._items) - 1
         if row != last:
             self._matrix[row] = self._matrix[last]
             self._flags[row] = self._flags[last]
-            moved = self._refs[last]
-            self._refs[row] = moved
-            self._row_of[moved] = row
-        self._refs.pop()
-        self._ref_ranks = None
+            self._items[row] = self._items[last]
+            self._row_of[self._items[row]] = row
+        self._items.pop()
 
     def discard_batch(self, refs: Sequence[AttributeRef]) -> int:
         """Remove many rows in one stable compaction; returns rows dropped.
@@ -190,19 +241,16 @@ class SignatureMatrix:
         physical row order of the survivors: the sequential path swap-packs
         (order depends on removal order), this path compacts stably (order
         is the surviving subsequence).  No consumer observes the
-        difference — lookups go through the ref→row registry and tie order
-        through :meth:`ref_ranks`, both row-order independent — and the
-        batched path costs one fancy-index copy instead of up to
-        ``len(refs)`` per-row swap chains.
+        difference — lookups go through the id→row registry and tie order
+        through the id ranks, both row-order independent — and the batched
+        path costs one fancy-index copy instead of up to ``len(refs)``
+        per-row swap chains.
         """
-        dropped = [
-            row for row in (self._row_of.pop(ref, None) for ref in refs)
-            if row is not None
-        ]
+        dropped = sorted({row for row in map(self.row, refs) if row is not None})
         if not dropped:
             return 0
         self._ensure_writable()
-        count = len(self._refs)
+        count = len(self._items)
         keep = np.ones(count, dtype=bool)
         keep[dropped] = False
         keep_rows = np.flatnonzero(keep)
@@ -210,42 +258,14 @@ class SignatureMatrix:
         # the prefix of the live arrays cannot alias itself.
         self._matrix[: keep_rows.size] = self._matrix[:count][keep_rows]
         self._flags[: keep_rows.size] = self._flags[:count][keep_rows]
-        self._refs = [self._refs[row] for row in keep_rows]
-        self._row_of = {ref: row for row, ref in enumerate(self._refs)}
-        self._ref_ranks = None
+        self._row_of[[self._items[row] for row in dropped]] = -1
+        self._items = [self._items[row] for row in keep_rows.tolist()]
+        self._place(self._items, 0)
         return len(dropped)
 
     def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Signature rows and degeneracy flags for ``rows``."""
         return self._matrix[rows], self._flags[rows]
-
-    def ref_ranks(self) -> np.ndarray:
-        """Rank of each row's ref in sorted-ref order (cached between mutations).
-
-        Because the rank is a strictly monotone function of the ref, sorting
-        candidate rows by ``(distance, rank)`` — one ``np.lexsort`` — yields
-        exactly the ``(distance, ref)`` tie order of the scalar lookup path
-        without any per-pair Python comparisons.
-        """
-        count = len(self._refs)
-        if self._ref_ranks is None or self._ref_ranks.shape[0] != count:
-            order = sorted(range(count), key=self._refs.__getitem__)
-            ranks = np.empty(count, dtype=np.intp)
-            ranks[order] = np.arange(count, dtype=np.intp)
-            self._ref_ranks = ranks
-        return self._ref_ranks
-
-    def resolve(self, refs: Sequence[AttributeRef]) -> Tuple[List[int], List[int]]:
-        """``(positions, rows)`` of the refs present in the registry."""
-        positions: List[int] = []
-        rows: List[int] = []
-        row_of = self._row_of.get
-        for position, ref in enumerate(refs):
-            row = row_of(ref)
-            if row is not None:
-                positions.append(position)
-                rows.append(row)
-        return positions, rows
 
     def compact(self) -> None:
         """Trim the backing arrays to exactly the populated rows.
@@ -255,7 +275,7 @@ class SignatureMatrix:
         bulk removals.  (Persistence does not need it: ``export_state``
         slices exactly the populated rows.)
         """
-        count = len(self._refs)
+        count = len(self._items)
         if self._matrix.shape[0] != count:
             self._matrix = np.ascontiguousarray(self._matrix[:count])
             self._flags = np.ascontiguousarray(self._flags[:count])
@@ -263,7 +283,8 @@ class SignatureMatrix:
     @property
     def refs(self) -> List[AttributeRef]:
         """Stored refs in row order (row ``i`` belongs to ``refs[i]``)."""
-        return list(self._refs)
+        items = self._ids.items
+        return [items[item] for item in self._items]
 
     def export_state(
         self, copy: bool = True
@@ -274,11 +295,11 @@ class SignatureMatrix:
         copies — for callers that only read them once into another buffer
         (the shared-memory snapshot writer); the views must not be mutated.
         """
-        count = len(self._refs)
+        count = len(self._items)
         matrix, flags = self._matrix[:count], self._flags[:count]
         if copy:
             matrix, flags = matrix.copy(), flags.copy()
-        return list(self._refs), matrix, flags
+        return self.refs, matrix, flags
 
     def import_state(
         self, refs: Sequence[AttributeRef], matrix: np.ndarray, flags: np.ndarray
@@ -289,6 +310,7 @@ class SignatureMatrix:
         read-only views over a shared-memory segment — are adopted as-is
         (no copy); the matrix then stays a view for the lifetime of the
         restored object, which is what makes worker-side attaches zero-copy.
+        Each ref gets its registry id.
         """
         matrix = np.ascontiguousarray(matrix, dtype=self._dtype)
         flags = np.ascontiguousarray(flags, dtype=bool)
@@ -300,13 +322,13 @@ class SignatureMatrix:
             )
         self._matrix = matrix
         self._flags = flags
-        self._refs = refs
-        self._row_of = {ref: row for row, ref in enumerate(refs)}
-        self._ref_ranks = None
+        self._items = [self._ids.assign(ref) for ref in refs]
+        self._row_of = np.full(len(self._ids), -1, dtype=np.int32)
+        self._place(self._items, 0)
 
     def estimated_bytes(self) -> int:
         """Footprint of the populated rows plus the registry references."""
-        count = len(self._refs)
+        count = len(self._items)
         row_bytes = self.num_hashes * self._dtype.itemsize
         return int(count * (row_bytes + 1 + 8))
 
@@ -327,13 +349,18 @@ class D3LIndexes:
         self.subject_classifier = subject_classifier
 
         cfg = self.config
+        #: One id per lake attribute, shared by every forest and matrix.
+        self.ids = AttributeIds()
         self._minhash_factory = MinHashFactory(num_perm=cfg.num_hashes, seed=cfg.seed)
         self._projection_factory = RandomProjectionFactory(
             num_bits=cfg.num_hashes, seed=cfg.seed + 1
         )
         self._forests: Dict[EvidenceType, LSHForest] = {
             evidence: LSHForest(
-                num_hashes=cfg.num_hashes, num_trees=cfg.num_trees, seed=cfg.seed + 2 + i
+                num_hashes=cfg.num_hashes,
+                num_trees=cfg.num_trees,
+                seed=cfg.seed + 2 + i,
+                ids=self.ids,
             )
             for i, evidence in enumerate(EvidenceType.indexed())
         }
@@ -344,11 +371,14 @@ class D3LIndexes:
             evidence: SignatureMatrix(
                 cfg.num_hashes,
                 np.dtype(np.uint8 if evidence is EvidenceType.EMBEDDING else np.uint64),
+                ids=self.ids,
             )
             for evidence in EvidenceType.indexed()
         }
         self.profiles: Dict[AttributeRef, AttributeProfile] = {}
         self.table_profiles: Dict[str, TableProfile] = {}
+        #: The live profile of each attribute id (None once removed).
+        self._profile_of: List[Optional[AttributeProfile]] = []
         #: Monotonic mutation counter: bumped on every insert/removal so
         #: serving-tier caches (session profile caches, fan-out worker pools)
         #: can detect that a snapshot of this object has gone stale.
@@ -502,8 +532,8 @@ class D3LIndexes:
             # forests and signature matrices.
             self._discard_table_entries(previous)
         self.table_profiles[table_profile.table_name] = table_profile
-        for name, profile in table_profile.attributes.items():
-            self.profiles[profile.ref] = profile
+        for profile in table_profile.attributes.values():
+            self._set_profile(profile)
         for evidence in EvidenceType.indexed():
             refs: List[AttributeRef] = []
             raws: List[np.ndarray] = []
@@ -591,7 +621,7 @@ class D3LIndexes:
                 continue
             removed.append(table_name)
             for profile in table_profile.attributes.values():
-                self.profiles.pop(profile.ref, None)
+                self._drop_profile(profile.ref)
                 for evidence in EvidenceType.indexed():
                     if self._signatures[evidence].pop(profile.ref, None) is not None:
                         refs_by_evidence[evidence].append(profile.ref)
@@ -612,11 +642,33 @@ class D3LIndexes:
         the version counter.
         """
         for profile in table_profile.attributes.values():
-            self.profiles.pop(profile.ref, None)
+            self._drop_profile(profile.ref)
             for evidence in EvidenceType.indexed():
                 if self._signatures[evidence].pop(profile.ref, None) is not None:
                     self._forests[evidence].remove(profile.ref)
                     self._matrices[evidence].discard(profile.ref)
+
+    def _set_profile(self, profile: AttributeProfile) -> None:
+        """Record ``profile`` as its attribute's live profile, giving it an id."""
+        self.profiles[profile.ref] = profile
+        item = self.ids.assign(profile.ref)
+        self._profile_of.extend([None] * (item + 1 - len(self._profile_of)))
+        self._profile_of[item] = profile
+
+    def _drop_profile(self, ref: AttributeRef) -> None:
+        if self.profiles.pop(ref, None) is not None:
+            self._profile_of[self.ids.find(ref)] = None
+
+    def adopt_profiles(
+        self,
+        profiles: Dict[AttributeRef, AttributeProfile],
+        table_profiles: Dict[str, TableProfile],
+    ) -> None:
+        """Take restored profiles as the indexes' own (a load or an attach)."""
+        self.profiles, self.table_profiles = profiles, table_profiles
+        self._profile_of = []
+        for profile in profiles.values():
+            self._set_profile(profile)
 
     def _log_mutation(self, table_name: str) -> None:
         """Journal one mutation under the just-bumped version counter."""
@@ -720,13 +772,11 @@ class D3LIndexes:
         candidates = self._forests[evidence].query(_raw(signature), k)
         if exclude_table is not None:
             candidates = [ref for ref in candidates if ref.table != exclude_table]
-        positions, rows = self._matrices[evidence].resolve(candidates)
-        if not rows:
+        positions, rows = self._resolve(evidence, candidates)
+        if not rows.size:
             return []
-        refs = [candidates[position] for position in positions]
-        distances = self._batch_signature_distances(
-            evidence, signature, np.asarray(rows, dtype=np.intp)
-        )
+        refs = [candidates[position] for position in positions.tolist()]
+        distances = self._batch_signature_distances(evidence, signature, rows)
         results = list(zip(refs, distances.tolist()))
         if max_distance is not None:
             results = [pair for pair in results if pair[1] <= max_distance]
@@ -789,14 +839,21 @@ class D3LIndexes:
         signature = signatures[evidence]
         if signature is None:
             return distances
-        positions, rows = self._matrices[evidence].resolve(refs)
-        if not rows:
-            return distances
-        stored_distances = self._batch_signature_distances(
-            evidence, signature, np.asarray(rows, dtype=np.intp)
-        )
-        distances[np.asarray(positions, dtype=np.intp)] = stored_distances
+        positions, rows = self._resolve(evidence, refs)
+        if rows.size:
+            distances[positions] = self._batch_signature_distances(evidence, signature, rows)
         return distances
+
+    def _resolve(
+        self, evidence: EvidenceType, refs: Sequence[AttributeRef]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, rows)`` of the refs stored in ``evidence``'s matrix."""
+        rows = [self._matrices[evidence].row(ref) for ref in refs]
+        positions = [position for position, row in enumerate(rows) if row is not None]
+        return (
+            np.asarray(positions, dtype=np.intp),
+            np.asarray([rows[position] for position in positions], dtype=np.intp),
+        )
 
     def multi_lookup(
         self,
@@ -807,20 +864,20 @@ class D3LIndexes:
         max_distance: Optional[float] = None,
         exclude_tables: Optional[Sequence[Optional[str]]] = None,
         walks: bool = False,
-    ) -> List[List[Tuple[AttributeRef, float]]]:
-        """:meth:`lookup` for many query signatures of one evidence type.
+    ) -> List[Candidates]:
+        """:meth:`lookup` for many query signatures of one evidence type, on ids.
 
         One batched forest descent
         (:meth:`~repro.lsh.lsh_forest.LSHForest.multi_query`) returns,
         for every signature, exactly the candidates — in the same order —
-        that a one-signature descent returns; every retrieved candidate row
-        of every query is then resolved against the
-        :class:`SignatureMatrix` and scored in a single gather plus one
-        row-aligned distance kernel — the multi-query batching the batched
-        query engine fans out over.  Entry ``i`` of the result equals
-        ``lookup(evidence, ..., query_signatures={...})`` for signature
-        ``i`` exactly (same candidates, distances, and tie order); ``None``
-        signatures yield empty answers.
+        that a one-signature descent returns; every retrieved candidate of
+        every query is then scored in a single gather plus one row-aligned
+        distance kernel, and all queries' candidates are ranked by one
+        ``lexsort`` — the multi-query batching the batched query engine fans
+        out over.  Entry ``i`` is a :class:`Candidates` whose ids (in
+        :attr:`ids`) are, in order, the attributes of ``lookup(evidence,
+        ..., query_signatures={...})`` for signature ``i``, with the same
+        distances; ``None`` signatures yield empty answers.
 
         ``exclude_tables`` gives each query its own exclusion (entry ``i``
         applies to signature ``i``), which is how the SA-join graph build
@@ -835,57 +892,43 @@ class D3LIndexes:
             raise ValueError("distribution evidence has no LSH index to look up")
         if exclude_tables is not None and len(exclude_tables) != len(signatures):
             raise ValueError("exclude_tables must align with signatures")
-        forest = self._forests[evidence]
-        matrix = self._matrices[evidence]
         # One batched descent for every query; entry i is exactly what
         # forest.query(signature i, k) returns, so the candidates re-ranked
         # below by (distance, ref rank) are lookup()'s candidates.
-        candidates_per_query = forest.multi_query(
+        found = self._forests[evidence].multi_query(
             [None if signature is None else _raw(signature) for signature in signatures],
             k,
             walks=walks,
         )
-        if walks:
-            walk_list = candidates_per_query
-            candidates_per_query = [walk.items[:k] for walk in walk_list]
-        refs_per_query: List[List[AttributeRef]] = []
-        rows_per_query: List[List[int]] = []
-        for position, signature in enumerate(signatures):
-            if signature is None:
-                refs_per_query.append([])
-                rows_per_query.append([])
-                continue
-            excluded = (
-                exclude_tables[position] if exclude_tables is not None else exclude_table
-            )
-            candidates = candidates_per_query[position]
-            if excluded is not None:
-                candidates = [ref for ref in candidates if ref.table != excluded]
-            positions, rows = matrix.resolve(candidates)
-            refs_per_query.append([candidates[position] for position in positions])
-            rows_per_query.append(rows)
-        distance_blocks = self._pairwise_signature_distances(
-            evidence, signatures, rows_per_query
+        walk_list: List[Walk] = found if walks else []
+        per_query = [walk.ids[:k] for walk in walk_list] if walks else found
+        counts = [len(ids) for ids in per_query]
+        ids = np.concatenate(per_query) if per_query else _NO_IDS
+        query_of = np.repeat(np.arange(len(per_query)), counts)
+        excluded = (
+            [exclude_table] * len(signatures) if exclude_tables is None else exclude_tables
         )
-        ranks = matrix.ref_ranks()
-        results: List[List[Tuple[AttributeRef, float]]] = []
-        for refs, rows, distances in zip(
-            refs_per_query, rows_per_query, distance_blocks
-        ):
-            if not rows:
-                results.append([])
-                continue
-            row_ranks = ranks[np.asarray(rows, dtype=np.intp)]
-            if max_distance is not None:
-                keep = np.flatnonzero(distances <= max_distance)
-                distances = distances[keep]
-                row_ranks = row_ranks[keep]
-                refs = [refs[index] for index in keep.tolist()]
-            # (distance, ref rank) == (distance, ref): the scalar tie order,
-            # without per-pair Python comparisons.
-            order = np.lexsort((row_ranks, distances))[:k].tolist()
-            values = distances.tolist()
-            results.append([(refs[index], values[index]) for index in order])
+        if any(name is not None for name in excluded):
+            codes = np.asarray([self.ids.table_code(name) for name in excluded], dtype=np.int32)
+            kept = self.ids.tables()[ids] != codes[query_of]
+            ids, query_of = ids[kept], query_of[kept]
+        rows = self._matrices[evidence].rows(ids)
+        if (rows < 0).any():
+            stored = rows >= 0
+            ids, query_of, rows = ids[stored], query_of[stored], rows[stored]
+        distances = self._pairwise_signature_distances(evidence, signatures, query_of, rows)
+        if max_distance is not None:
+            close = distances <= max_distance
+            ids, query_of, distances = ids[close], query_of[close], distances[close]
+        # (query, distance, ref rank) == per query (distance, ref): the scalar
+        # tie order, without per-pair Python comparisons.
+        order = np.lexsort((self.ids.ranks()[ids], distances, query_of))
+        ids, distances = ids[order], distances[order]
+        bounds = np.searchsorted(query_of[order], np.arange(len(signatures) + 1)).tolist()
+        results = [
+            Candidates(ids[start : min(end, start + k)], distances[start : min(end, start + k)])
+            for start, end in zip(bounds, bounds[1:])
+        ]
         return (results, walk_list) if walks else results
 
     def walk_keys(
@@ -899,10 +942,10 @@ class D3LIndexes:
         self,
         evidence: EvidenceType,
         profiles: Sequence[AttributeProfile],
-        refs_per_profile: Sequence[Sequence[AttributeRef]],
+        ids_per_profile: Sequence[np.ndarray],
         signatures: Optional[Sequence[Optional[Signature]]] = None,
     ) -> List[np.ndarray]:
-        """:meth:`batch_attribute_distances` for many query profiles at once.
+        """:meth:`batch_attribute_distances` for many query profiles, on ids.
 
         Signature-backed evidence types gather every (profile, candidate)
         pair's matrix row in one pass and score them with a single
@@ -910,98 +953,84 @@ class D3LIndexes:
         KS loop of each profile as one vectorized sweep over the candidates
         sharing its cached sorted extent
         (:func:`~repro.stats.ks.ks_statistic_sorted_many`).  Entry ``i``
-        equals ``batch_attribute_distances(evidence, profiles[i],
-        refs_per_profile[i], ...)`` exactly.
+        equals ``batch_attribute_distances(evidence, profiles[i], refs)``
+        exactly, for the refs of the attribute ids ``ids_per_profile[i]``.
         """
-        profiles = list(profiles)
+        outputs = [np.ones(len(ids), dtype=np.float64) for ids in ids_per_profile]
         if evidence is EvidenceType.DISTRIBUTION:
-            outputs: List[np.ndarray] = []
-            for profile, refs in zip(profiles, refs_per_profile):
-                distances = np.ones(len(refs), dtype=np.float64)
-                if profile.is_numeric and len(refs):
-                    extents: List[np.ndarray] = []
-                    positions: List[int] = []
-                    for position, ref in enumerate(refs):
-                        other = self.profiles.get(ref)
-                        if other is None or not other.is_numeric:
-                            continue
-                        positions.append(position)
-                        extents.append(other.numeric_sorted)
-                    if positions:
-                        distances[np.asarray(positions, dtype=np.intp)] = (
-                            ks_statistic_sorted_many(profile.numeric_sorted, extents)
+            for profile, ids, output in zip(profiles, ids_per_profile, outputs):
+                if profile.is_numeric and len(ids):
+                    positions, extents = self.numeric_extents(ids)
+                    if extents:
+                        output[positions] = ks_statistic_sorted_many(
+                            profile.numeric_sorted, extents
                         )
-                outputs.append(distances)
             return outputs
         if signatures is None:
             signatures = [self.signatures_for(profile)[evidence] for profile in profiles]
-        matrix = self._matrices[evidence]
-        outputs = [
-            np.ones(len(refs), dtype=np.float64) for refs in refs_per_profile
+        counts = [
+            0 if signature is None else len(ids)
+            for signature, ids in zip(signatures, ids_per_profile)
         ]
-        positions_per_profile: List[List[int]] = []
-        rows_per_profile: List[List[int]] = []
-        for signature, refs in zip(signatures, refs_per_profile):
-            if signature is None:
-                positions_per_profile.append([])
-                rows_per_profile.append([])
-                continue
-            positions, rows = matrix.resolve(refs)
-            positions_per_profile.append(positions)
-            rows_per_profile.append(rows)
-        distance_blocks = self._pairwise_signature_distances(
-            evidence, signatures, rows_per_profile
+        if not sum(counts):
+            return outputs
+        ids = np.concatenate([ids for ids, count in zip(ids_per_profile, counts) if count])
+        query_of = np.repeat(np.arange(len(counts)), counts)
+        rows = self._matrices[evidence].rows(ids)
+        stored = rows >= 0
+        distances = np.ones(ids.shape[0], dtype=np.float64)
+        distances[stored] = self._pairwise_signature_distances(
+            evidence, signatures, query_of[stored], rows[stored]
         )
-        for output, positions, distances in zip(
-            outputs, positions_per_profile, distance_blocks
-        ):
-            if positions:
-                output[np.asarray(positions, dtype=np.intp)] = distances
+        bounds = np.cumsum([0] + counts).tolist()
+        for index, count in enumerate(counts):
+            if count:
+                outputs[index] = distances[bounds[index] : bounds[index + 1]]
         return outputs
+
+    def numeric_extents(self, ids: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Positions of the numeric attributes among ``ids``, and their
+        cached sorted extents."""
+        profile_of = self._profile_of
+        positions: List[int] = []
+        extents: List[np.ndarray] = []
+        for position, item in enumerate(ids.tolist()):
+            other = profile_of[item] if item < len(profile_of) else None
+            if other is not None and other.is_numeric:
+                positions.append(position)
+                extents.append(other.numeric_sorted)
+        return np.asarray(positions, dtype=np.intp), extents
 
     def _pairwise_signature_distances(
         self,
         evidence: EvidenceType,
         signatures: Sequence[Optional[Signature]],
-        rows_per_query: Sequence[Sequence[int]],
-    ) -> List[np.ndarray]:
-        """Distances of many (query signature, matrix row) pair groups.
+        query_of: np.ndarray,
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """Distances of (query signature, matrix row) pairs: pair ``j``
+        scores ``signatures[query_of[j]]`` against row ``rows[j]``.
 
-        All pair groups are concatenated and scored with one gather and one
-        row-aligned kernel call, then split back per query.  Values are
-        identical to one :meth:`_batch_signature_distances` call per query.
+        Every pair is scored with one gather and one row-aligned kernel
+        call.  Values are identical to one :meth:`_batch_signature_distances`
+        call per query.
         """
-        counts = [len(rows) for rows in rows_per_query]
-        total = sum(counts)
-        if total == 0:
-            return [np.empty(0, dtype=np.float64) for _ in counts]
-        all_rows = np.concatenate(
-            [np.asarray(rows, dtype=np.intp) for rows in rows_per_query if rows]
-        )
-        populated = [index for index, count in enumerate(counts) if count]
-        raws = np.vstack([_raw(signatures[index]) for index in populated])
-        degenerate_queries = np.array(
-            [_is_degenerate(signatures[index]) for index in populated], dtype=bool
-        )
-        group_sizes = [counts[index] for index in populated]
-        group_of_pair = np.repeat(np.arange(len(populated), dtype=np.intp), group_sizes)
-        queries = raws[group_of_pair]
-        query_flags = degenerate_queries[group_of_pair]
-        stored, degenerate_rows = self._matrices[evidence].gather(all_rows)
+        if not rows.shape[0]:
+            return np.empty(0, dtype=np.float64)
+        populated, query_of = np.unique(query_of, return_inverse=True)
+        query_signatures = [signatures[index] for index in populated.tolist()]
+        queries = np.vstack([_raw(signature) for signature in query_signatures])[query_of]
+        query_flags = np.array(
+            [_is_degenerate(signature) for signature in query_signatures], dtype=bool
+        )[query_of]
+        stored, degenerate_rows = self._matrices[evidence].gather(rows)
         if evidence is EvidenceType.EMBEDDING:
-            flat = pairwise_cosine_distances(
+            return pairwise_cosine_distances(
                 queries, stored, query_zero=query_flags, zero_rows=degenerate_rows
             )
-        else:
-            flat = pairwise_jaccard_distances(
-                queries, stored, query_empty=query_flags, empty_rows=degenerate_rows
-            )
-        blocks = [np.empty(0, dtype=np.float64) for _ in counts]
-        offset = 0
-        for index, size in zip(populated, group_sizes):
-            blocks[index] = flat[offset : offset + size]
-            offset += size
-        return blocks
+        return pairwise_jaccard_distances(
+            queries, stored, query_empty=query_flags, empty_rows=degenerate_rows
+        )
 
     def _batch_signature_distances(
         self, evidence: EvidenceType, signature: Signature, rows: np.ndarray

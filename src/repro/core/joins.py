@@ -384,11 +384,12 @@ class _ProbePools:
     Row ``i`` is the probe of table ``tables[i]`` (sorted table order): its
     subject attribute ``subjects[i]`` and the value-forest tree keys
     ``keys[i]`` of its signature.  Its pool is entries
-    ``bounds[i]:bounds[i + 1]`` of ``codes`` and ``steps``: every item its
+    ``bounds[i]:bounds[i + 1]`` of ``ids`` and ``steps``: every item its
     walk collected through the step that filled the pool — every item it
-    reached when the walk ran out first — in walk order, as codes into
-    ``refs``, each with the step that reached it.  ``edges[i]`` holds the
-    verified edges of the pool's first ``join_candidate_pool`` items.
+    reached when the walk ran out first — in walk order, as lake attribute
+    ids (``refs`` is the indexes' id registry), each with the step that
+    reached it.  ``edges[i]`` holds the verified edges of the pool's first
+    ``join_candidate_pool`` items.
 
     The pools are flat integer arrays, not per-entry objects: tens of
     thousands of small long-lived objects would make every full garbage
@@ -399,20 +400,19 @@ class _ProbePools:
     tables: List[str]
     subjects: List[AttributeRef]
     keys: np.ndarray
-    codes: np.ndarray
+    ids: np.ndarray
     steps: np.ndarray
     bounds: np.ndarray
     edges: List[_Edges]
     refs: List[AttributeRef]
-    code_of: Dict[AttributeRef, int]
 
     def pool(self, table_name: str) -> List[Tuple[AttributeRef, int]]:
         """``(ref, step)`` of every item in the pool of ``table_name``'s probe."""
         row = self.tables.index(table_name)
         start, end = self.bounds[row], self.bounds[row + 1]
         return [
-            (self.refs[code], step)
-            for code, step in zip(self.codes[start:end].tolist(), self.steps[start:end].tolist())
+            (self.refs[item], step)
+            for item, step in zip(self.ids[start:end].tolist(), self.steps[start:end].tolist())
         ]
 
 
@@ -420,11 +420,10 @@ class _PoolBuild:
     """One SA-join graph build: every probe walked, or a previous build's
     pools edited for the mutated tables and only the rest walked."""
 
-    def __init__(
-        self, indexes: D3LIndexes, config: D3LConfig, previous: Optional[_ProbePools]
-    ) -> None:
+    def __init__(self, indexes: D3LIndexes, config: D3LConfig) -> None:
         self.indexes = indexes
         self.forest = indexes.forest(EvidenceType.VALUE)
+        self.refs = indexes.ids.items
         self.settings = _build_settings(config)
         self.pool, self.margin, self.threshold = self.settings
         self.probes = _subject_probes(indexes)
@@ -432,19 +431,10 @@ class _PoolBuild:
             _probe_signature(indexes, subject) for _, subject in self.probes
         ]
         count = len(self.probes)
-        # Codes are append-only, so old pools stay readable; copies keep a
-        # concurrent build of the same previous state from sharing them.
-        if previous is None:
-            self.refs: List[AttributeRef] = []
-            self.code_of: Dict[AttributeRef, int] = {}
-            self._codes(self.forest.keys())
-        else:
-            self.refs = list(previous.refs)
-            self.code_of = dict(previous.code_of)
         self.keys = np.zeros(
             (count, self.forest.num_trees, self.forest.key_length), dtype=np.uint64
         )
-        self.codes: List[Optional[np.ndarray]] = [None] * count
+        self.ids: List[Optional[np.ndarray]] = [None] * count
         self.steps: List[Optional[np.ndarray]] = [None] * count
         self.edges: List[Optional[_Edges]] = [None] * count
         #: ``(row, (distance, ref) candidates, edges carried over)`` awaiting
@@ -454,19 +444,6 @@ class _PoolBuild:
     # ------------------------------------------------------------------ #
     # pools
     # ------------------------------------------------------------------ #
-    def _codes(self, refs: Sequence[AttributeRef]) -> np.ndarray:
-        """Item codes of ``refs``, coding refs seen for the first time."""
-        try:
-            return np.fromiter(
-                map(self.code_of.__getitem__, refs), dtype=np.int32, count=len(refs)
-            )
-        except KeyError:
-            for ref in refs:
-                if ref not in self.code_of:
-                    self.code_of[ref] = len(self.refs)
-                    self.refs.append(ref)
-            return self._codes(refs)
-
     def carry(self, previous: _ProbePools, mutated: AbstractSet[str]) -> List[int]:
         """Take over the previous rows of unmutated probes; return the rows to walk.
 
@@ -475,7 +452,7 @@ class _PoolBuild:
         (:meth:`~repro.lsh.lsh_forest.LSHForest.edit_walks`); a pool that
         edit leaves short is walked again.  Only candidates new to a pool's
         first items are scored; a mutated table's attributes keep their
-        codes, so they count as new.
+        ids, so they count as new.
         """
         old_rows = {table_name: row for row, table_name in enumerate(previous.tables)}
         carried: List[Tuple[int, int]] = []
@@ -488,6 +465,7 @@ class _PoolBuild:
                 carried.append((row, old))
         if not carried:
             return walk
+        ids, tables = self.indexes.ids, self.indexes.ids.tables()
         rows = [row for row, _ in carried]
         olds = np.asarray([old for _, old in carried], dtype=np.intp)
         self.keys[rows] = previous.keys[olds]
@@ -498,7 +476,7 @@ class _PoolBuild:
             for profile in self.indexes.table_profiles[table_name].attributes.values()
             if profile.ref in self.forest
         ]
-        arrived = self._codes(inserted)
+        arrived = np.asarray([ids.find(ref) for ref in inserted], dtype=np.int32)
         reached = (
             self.forest.walk_steps(
                 self.keys[rows], [self.forest.signature(ref) for ref in inserted]
@@ -512,15 +490,14 @@ class _PoolBuild:
         offsets = np.cumsum(lengths) - lengths
         take = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
         walks = np.repeat(np.arange(len(carried)), lengths)
-        codes = previous.codes[take]
-        removed = [code for code, ref in enumerate(previous.refs) if ref.table in mutated]
-        gone = np.isin(codes, removed)
-        new_walks, new_codes, new_steps, origin, rewalk = self.forest.edit_walks(
-            walks, codes, previous.steps[take], len(carried), gone, arrived, reached,
+        items = previous.ids[take]
+        gone = np.isin(tables[items], [ids.table_code(name) for name in mutated])
+        new_walks, new_items, new_steps, origin, rewalk = self.forest.edit_walks(
+            walks, items, previous.steps[take], len(carried), gone, arrived, reached,
             self.pool, self.refs.__getitem__,
         )
         # The unmutated old first items keep their edges while they stay
-        # first (``left`` holds the others, keyed by carried row and code);
+        # first (``left`` holds the others, keyed by carried row and id);
         # every other new first item is scored.
         new_lengths = np.bincount(new_walks, minlength=len(carried))
         new_offsets = np.cumsum(new_lengths) - new_lengths
@@ -532,14 +509,14 @@ class _PoolBuild:
         stays[origin[kept_first]] = True
         width = len(self.refs)
         gone_first = was_first & ~stays
-        left = set((walks[gone_first] * width + codes[gone_first]).tolist())
+        left = set((walks[gone_first] * width + items[gone_first]).tolist())
         fresh = is_first.copy()
         fresh[kept_first] = ~was_first[origin[kept_first]]
-        entered: Dict[int, List[AttributeRef]] = defaultdict(list)
-        for position, code in zip(new_walks[fresh].tolist(), new_codes[fresh].tolist()):
-            ref = self.refs[code]
-            if ref.table != self.probes[carried[position][0]][0]:
-                entered[position].append(ref)
+        probe_tables = np.asarray(
+            [ids.table_code(self.probes[row][0]) for row, _ in carried], dtype=np.int32
+        )
+        fresh &= tables[new_items] != probe_tables[new_walks]
+        entered, starts = np.unique(new_walks[fresh], return_index=True)
         # Only rows whose first items lost one can lose an edge.
         losing = np.bincount(walks[gone_first | (old_first & gone)], minlength=len(carried))
         bounds = np.cumsum(new_lengths).tolist()
@@ -548,19 +525,23 @@ class _PoolBuild:
                 walk.append(row)
                 continue
             start, end = bounds[position] - int(new_lengths[position]), bounds[position]
-            self.codes[row], self.steps[row] = new_codes[start:end], new_steps[start:end]
+            self.ids[row], self.steps[row] = new_items[start:end], new_steps[start:end]
             edges = previous.edges[old]
             if losing[position]:
                 edges = [
                     edge
                     for edge in edges
                     if edge[1].table not in mutated
-                    and position * width + self.code_of[edge[1]] not in left
+                    and position * width + ids.find(edge[1]) not in left
                 ]
             self.edges[row] = edges
         self._score_entered(
-            [(carried[position][0], refs, self.edges[carried[position][0]])
-             for position, refs in sorted(entered.items())]
+            [
+                (carried[position][0], entered_items, self.edges[carried[position][0]])
+                for position, entered_items in zip(
+                    entered.tolist(), np.split(new_items[fresh], starts[1:])
+                )
+            ]
         )
         return sorted(walk)
 
@@ -582,24 +563,34 @@ class _PoolBuild:
                 EvidenceType.VALUE, [self.signatures[row] for row in signed]
             )
         for row, walk, candidates in zip(rows, walks, answers):
-            self.codes[row] = self._codes(walk.items)
+            self.ids[row] = walk.ids
             self.steps[row] = walk.steps
-            self.pending.append((row, [(distance, ref) for ref, distance in candidates], []))
+            self.pending.append((
+                row,
+                [
+                    (distance, self.refs[item])
+                    for item, distance in zip(
+                        candidates.ids.tolist(), candidates.distances.tolist()
+                    )
+                ],
+                [],
+            ))
 
     # ------------------------------------------------------------------ #
     # scoring
     # ------------------------------------------------------------------ #
-    def _score_entered(self, entered: List[Tuple[int, List[AttributeRef], _Edges]]) -> None:
+    def _score_entered(self, entered: List[Tuple[int, np.ndarray, _Edges]]) -> None:
         """Score candidates new to kept pools with the lookup's distance kernel."""
         if not entered:
             return
         distances = self.indexes.multi_batch_attribute_distances(
             EvidenceType.VALUE,
             [self.probes[row][1] for row, _, _ in entered],
-            [refs for _, refs, _ in entered],
+            [items for _, items, _ in entered],
             signatures=[self.signatures[row] for row, _, _ in entered],
         )
-        for (row, refs, edges), values in zip(entered, distances):
+        for (row, items, edges), values in zip(entered, distances):
+            refs = [self.refs[item] for item in items.tolist()]
             self.pending.append((row, sorted(zip(values.tolist(), refs)), edges))
 
     def _prefilter(self) -> None:
@@ -663,22 +654,19 @@ class _PoolBuild:
 
     def finish(self) -> _ProbePools:
         """The kept state: every row's pool and edges, flattened."""
-        lengths = [len(codes) for codes in self.codes]
+        lengths = [len(items) for items in self.ids]
         return _ProbePools(
             settings=self.settings,
             tables=[table_name for table_name, _ in self.probes],
             subjects=[subject.ref for _, subject in self.probes],
             keys=self.keys,
-            codes=(
-                np.concatenate(self.codes) if self.codes else np.empty(0, dtype=np.int32)
-            ),
+            ids=np.concatenate(self.ids) if self.ids else np.empty(0, dtype=np.int32),
             steps=(
                 np.concatenate(self.steps) if self.steps else np.empty(0, dtype=np.int32)
             ),
             bounds=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
             edges=self.edges,
             refs=self.refs,
-            code_of=self.code_of,
         )
 
 
@@ -812,9 +800,10 @@ class SAJoinGraph:
             mutated_tables is None
             or pools is None
             or pools.settings != _build_settings(config)
+            or pools.refs is not indexes.ids.items
         ):
             pools = None
-        build = _PoolBuild(indexes, config, pools)
+        build = _PoolBuild(indexes, config)
         if pools is None:
             walk = list(range(len(build.probes)))
         else:

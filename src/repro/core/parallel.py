@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.execution import ExecutionBackend, create_backend, live_worker_pids
 from repro.lake.datalake import DataLake
 from repro.tables.table import Table
@@ -158,9 +160,10 @@ class ParallelIndexBuilder:
         return self.indexes
 
 
-#: One query shard worker's result: per target attribute, the sorted
-#: candidate refs plus the per-evidence distance columns aligned with them
-#: (``[(attribute name, refs, {evidence: column})]``).
+#: One query shard worker's result: per target attribute, the candidate
+#: refs in ref order plus the per-evidence distance columns aligned with
+#: them (``[(attribute name, refs, {evidence: column})]``).  Refs, not
+#: attribute ids: ids are process-local.
 QueryShardResult = List[Tuple[str, List, Dict]]
 
 
@@ -179,9 +182,13 @@ def _collect_shard_candidate_distances(
     table_name, entries, context = payload
     from repro.core.discovery import collect_attribute_candidate_distances
 
-    return collect_attribute_candidate_distances(
-        indexes, table_name, entries, **context
-    )
+    refs = indexes.ids.items
+    return [
+        (name, [refs[item] for item in ids.tolist()], columns)
+        for name, ids, columns in collect_attribute_candidate_distances(
+            indexes, table_name, entries, **context
+        )
+    ]
 
 
 class ParallelQueryExecutor:
@@ -235,8 +242,13 @@ class ParallelQueryExecutor:
         table_name: str,
         entries: Sequence[Tuple[str, object]],
         **context,
-    ) -> QueryShardResult:
+    ) -> List[Tuple[str, "np.ndarray", Dict]]:
         """Collect every attribute's candidate distances across the shards.
+
+        Returns what
+        :func:`~repro.core.discovery.collect_attribute_candidate_distances`
+        returns for all of ``entries``: candidates as this process's
+        attribute ids, attributes in the target profile's order.
 
         When the shared query context carries memoized target signatures
         (``signature_maps``, from a serving session's profile cache), each
@@ -277,8 +289,9 @@ class ParallelQueryExecutor:
         shard_results = self._backend.map_shards(
             _collect_shard_candidate_distances, payloads
         )
+        find = self.indexes.ids.find
         by_attribute = {
-            name: (refs, columns)
+            name: (np.fromiter(map(find, refs), dtype=np.int32, count=len(refs)), columns)
             for result in shard_results
             for name, refs, columns in result
         }

@@ -132,8 +132,7 @@ def _restore_indexes(sections: Dict[str, object]) -> D3LIndexes:
         embedding_model=sections["embedding_model"],
         subject_classifier=sections["subject_classifier"],
     )
-    indexes.profiles = sections["profiles"]
-    indexes.table_profiles = sections["table_profiles"]
+    indexes.adopt_profiles(sections["profiles"], sections["table_profiles"])
     for evidence in EvidenceType.indexed():
         section = sections["evidence"][evidence.value]
         refs, matrix, flags = section["refs"], section["matrix"], section["flags"]

@@ -13,7 +13,7 @@ Each :class:`_PrefixTree` uses the sorted-array layout the LSH Forest paper
 prescribes, vectorized with NumPy:
 
 * keys are a single sorted 2D ``uint64`` array of shape ``(n, key_length)``
-  with a parallel item list, kept in lexicographic order;
+  with a parallel ``int32`` array of item ids, kept in lexicographic order;
 * the lexicographic order is materialised once per (re)build as a 1D array of
   big-endian byte *rank keys* (a NumPy void dtype of ``key_length * 8``
   bytes), so a prefix range is two O(log n) ``np.searchsorted`` lookups
@@ -27,13 +27,22 @@ prescribes, vectorized with NumPy:
   remove costs O(log n) amortised and queries never scan dead entries
   outside a compaction cycle.
 
+Items are kept as dense ``int32`` ids from an :class:`ItemIds` registry,
+which a caller may share between several forests and its own arrays (as
+:class:`~repro.core.indexes.D3LIndexes` shares one between its four forests
+and signature matrices): trees hold id arrays, a tree's row registry is an
+array indexed by id, and :meth:`LSHForest.multi_query` answers with id
+arrays.  Rows with equal keys are ordered by the registry's item ranks,
+which order ids as their items order, so no Python comparison of items runs
+in a rebuild.
+
 One descent serves :meth:`LSHForest.query`, :meth:`~LSHForest.query_all`
 and :meth:`~LSHForest.multi_query`.  Per tree, one ``searchsorted`` pair
 finds the row range of every prefix length of every query at once.  Because
 the range of a shorter prefix always contains the longer-prefix range, the
 rows a (prefix length, tree) step newly exposes are the difference of two
 nested ranges; their counts come out as one array, and Python walks only the
-non-empty steps of each query until it holds ``k`` distinct items — so a
+non-empty steps of each query until it holds ``k`` distinct ids — so a
 batch returns, element for element, what one-query descents return.
 
 Walk order
@@ -87,17 +96,68 @@ _MIN_TOMBSTONES_BEFORE_COMPACTION = 16
 _DESCENT_BLOCK = 64
 
 
+class ItemIds:
+    """Dense ``int32`` ids for the items of one or more indexes.
+
+    An item keeps its id for the registry's lifetime: removing it from an
+    index frees nothing, and inserting it again brings back the same id.
+    :meth:`ranks` orders the ids as their items order (by ``sort_key`` of
+    each item when given, which must order items as they order themselves),
+    so sorting ids by rank breaks ties exactly as comparing items would.
+    """
+
+    def __init__(self, sort_key: Optional[Callable[[Hashable], object]] = None) -> None:
+        #: The item of each id (append-only).
+        self.items: List[Hashable] = []
+        self._id_of: Dict[Hashable, int] = {}
+        self._sort_key = sort_key
+        self._ranks = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def find(self, item: Hashable) -> Optional[int]:
+        """The id of ``item``, or None when it never had one."""
+        return self._id_of.get(item)
+
+    def assign(self, item: Hashable) -> int:
+        """The id of ``item``, giving it the next one when it is new."""
+        found = self._id_of.get(item)
+        if found is None:
+            found = self._id_of[item] = len(self.items)
+            self.items.append(item)
+            self._assigned(item)
+        return found
+
+    def _assigned(self, item: Hashable) -> None:
+        """Hook for registries that keep more per-id state."""
+
+    def ranks(self) -> np.ndarray:
+        """The rank of every id's item in sorted item order (cached until an
+        id is added)."""
+        count = len(self.items)
+        if self._ranks.shape[0] != count:
+            keys = self.items if self._sort_key is None else list(map(self._sort_key, self.items))
+            ranks = np.empty(count, dtype=np.int64)
+            ranks[sorted(range(count), key=keys.__getitem__)] = np.arange(count)
+            self._ranks = ranks
+        return self._ranks
+
+
 class Walk(NamedTuple):
     """One query's walk, kept through the step at which it reached ``k``.
 
-    ``items`` are every item the walk collected, in walk order — at least
-    ``k`` of them unless the walk ran out — and ``steps`` (``int32``) the
-    step at which each was first reached.  The query's answer is
-    ``items[:k]``.
+    ``ids`` (``int32``) are the ids of every item the walk collected, in
+    walk order — at least ``k`` of them unless the walk ran out — and
+    ``steps`` (``int32``) the step at which each was first reached.  The
+    query's answer is ``ids[:k]``.
     """
 
-    items: List[Hashable]
+    ids: np.ndarray
     steps: np.ndarray
+
+
+_NO_IDS = np.empty(0, dtype=np.int32)
 
 
 @lru_cache(maxsize=None)
@@ -129,22 +189,25 @@ def rank_key_bytes(keys: np.ndarray) -> np.ndarray:
 class _PrefixTree:
     """One tree of the forest: keys in a sorted column-major NumPy array.
 
-    ``_keys`` (``(n, key_length)`` uint64) and ``_items`` are parallel and
-    ordered by ``_ranks``, the precomputed lexicographic rank keys.
-    ``_alive`` marks tombstoned rows; ``_pending`` buffers inserts until the
-    next query forces a merge.
+    ``_keys`` (``(n, key_length)`` uint64) and ``_items`` (``int32`` ids of
+    ``ids``) are parallel and ordered by ``_ranks``, the precomputed
+    lexicographic rank keys.  ``_alive`` marks tombstoned rows;
+    ``_pending`` buffers inserts until the next query forces a merge;
+    ``_row_of`` maps an id to its live row (-1 for none; ids past its end
+    have none).
     """
 
-    def __init__(self, key_length: int) -> None:
+    def __init__(self, key_length: int, ids: ItemIds) -> None:
         self.key_length = key_length
+        self._ids = ids
         self._rank_dtype = np.dtype((np.void, key_length * 8))
         self._keys = np.empty((0, key_length), dtype=np.uint64)
         self._ranks = np.empty(0, dtype=self._rank_dtype)
-        self._items: List[Hashable] = []
+        self._items = _NO_IDS
         self._alive = np.empty(0, dtype=bool)
         self._dead = 0
-        self._pending: List[Tuple[np.ndarray, Hashable]] = []
-        self._row_of: Dict[Hashable, int] = {}
+        self._pending: List[Tuple[np.ndarray, int]] = []
+        self._row_of = _NO_IDS
 
     def __len__(self) -> int:
         return len(self._items) - self._dead + len(self._pending)
@@ -152,26 +215,13 @@ class _PrefixTree:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def insert(self, key: np.ndarray, item: Hashable) -> None:
+    def insert(self, key: np.ndarray, item: int) -> None:
         self._pending.append((np.ascontiguousarray(key, dtype=np.uint64), item))
 
-    def remove(self, item: Hashable) -> None:
-        row = self._row_of.pop(item, None)
-        if row is not None:
-            self._alive[row] = False
-            self._dead += 1
-            if (
-                self._dead > _MIN_TOMBSTONES_BEFORE_COMPACTION
-                and self._dead * 2 > len(self._items)
-            ):
-                self._rebuild()
-            return
-        for index, (_, pending_item) in enumerate(self._pending):
-            if pending_item == item:
-                del self._pending[index]
-                return
+    def remove(self, item: int) -> None:
+        self.remove_batch([item])
 
-    def remove_batch(self, items: Sequence[Hashable]) -> None:
+    def remove_batch(self, items: Sequence[int]) -> None:
         """Tombstone many items with one compaction check at the end.
 
         Same final state as calling :meth:`remove` per item — the rebuild
@@ -180,8 +230,9 @@ class _PrefixTree:
         compaction rebuilds.
         """
         for item in items:
-            row = self._row_of.pop(item, None)
-            if row is not None:
+            row = int(self._row_of[item]) if item < self._row_of.shape[0] else -1
+            if row >= 0:
+                self._row_of[item] = -1
                 self._alive[row] = False
                 self._dead += 1
                 continue
@@ -207,48 +258,38 @@ class _PrefixTree:
         """
         keep = np.flatnonzero(self._alive)
         keys = self._keys[keep]
-        items = [self._items[row] for row in keep]
+        items = self._items[keep]
         if self._pending:
             pending_keys = np.vstack([key for key, _ in self._pending])
             keys = np.vstack([keys, pending_keys]) if keys.size else pending_keys
-            items.extend(item for _, item in self._pending)
-        if not items:
-            self._keys = np.empty((0, self.key_length), dtype=np.uint64)
-            self._ranks = np.empty(0, dtype=self._rank_dtype)
-            self._items = []
-            self._alive = np.empty(0, dtype=bool)
-            self._dead = 0
-            self._row_of = {}
-            self._pending = []
-            return
+            items = np.concatenate(
+                (items, np.array([item for _, item in self._pending], dtype=np.int32))
+            )
         ranks = self._rank_keys(keys)
         order = np.argsort(ranks, kind="stable")
-        # Canonical tie order: rows sharing a key are ordered by their item.
-        # This makes the layout a pure function of the (key, item) set — a
-        # mutated tree compacts to exactly the state a from-scratch build of
-        # the surviving items produces, so stop-at-k candidate truncation
-        # stays identical across remove/re-add histories (the rebuild
-        # determinism the incremental-mutation oracle relies on).  Only runs
-        # of genuinely equal keys pay for a Python-level sort.
+        # Canonical tie order: rows sharing a key are ordered by their item
+        # (the item's rank in the id registry).  This makes the layout a
+        # pure function of the (key, item) set — a mutated tree compacts to
+        # exactly the state a from-scratch build of the surviving items
+        # produces, so stop-at-k candidate truncation stays identical across
+        # remove/re-add histories (the rebuild determinism the
+        # incremental-mutation oracle relies on).
         sorted_ranks = ranks[order]
-        if sorted_ranks.shape[0] > 1:
-            run_starts = np.flatnonzero(
-                np.concatenate(([True], sorted_ranks[1:] != sorted_ranks[:-1]))
-            )
-            if run_starts.shape[0] < sorted_ranks.shape[0]:
-                run_ends = np.concatenate((run_starts[1:], [sorted_ranks.shape[0]]))
-                for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-                    if end - start > 1:
-                        order[start:end] = sorted(
-                            order[start:end].tolist(), key=items.__getitem__
-                        )
+        runs = np.concatenate(([True], sorted_ranks[1:] != sorted_ranks[:-1]))
+        if not runs.all():
+            order = order[np.lexsort((self._ids.ranks()[items[order]], np.cumsum(runs)))]
         self._keys = np.ascontiguousarray(keys[order])
         self._ranks = ranks[order]
-        self._items = [items[row] for row in order]
-        self._alive = np.ones(len(self._items), dtype=bool)
+        self._items = items[order]
+        self._alive = np.ones(self._items.shape[0], dtype=bool)
         self._dead = 0
-        self._row_of = {item: row for row, item in enumerate(self._items)}
+        self._index_rows()
         self._pending = []
+
+    def _index_rows(self) -> None:
+        """Rebuild the id -> row registry from ``_items``."""
+        self._row_of = np.full(len(self._ids), -1, dtype=np.int32)
+        self._row_of[self._items] = np.arange(self._items.shape[0], dtype=np.int32)
 
     def _ensure_flushed(self) -> None:
         if self._pending:
@@ -271,7 +312,11 @@ class _PrefixTree:
         snapshot writer); the array must not be mutated.
         """
         self.compact()
-        return (self._keys.copy() if copy else self._keys), list(self._items)
+        items = self._ids.items
+        return (
+            self._keys.copy() if copy else self._keys,
+            [items[item] for item in self._items.tolist()],
+        )
 
     def import_state(
         self,
@@ -287,7 +332,7 @@ class _PrefixTree:
         is a cheap vectorized byte conversion rather than a re-sort.  Both
         paths preserve array views: a contiguous ``keys`` array of the right
         dtype — e.g. a read-only view over a shared-memory segment — is
-        adopted without copying.
+        adopted without copying.  Each item gets its registry id.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.ndim != 2 or keys.shape != (len(items), self.key_length):
@@ -305,11 +350,11 @@ class _PrefixTree:
                     f"{len(items)} items of key length {self.key_length}"
                 )
             self._ranks = ranks.view(self._rank_dtype).reshape(len(items))
-        self._items = list(items)
-        self._alive = np.ones(len(self._items), dtype=bool)
+        self._items = np.fromiter(map(self._ids.assign, items), dtype=np.int32, count=len(items))
+        self._alive = np.ones(len(items), dtype=bool)
         self._dead = 0
         self._pending = []
-        self._row_of = {item: row for row, item in enumerate(self._items)}
+        self._index_rows()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -332,19 +377,19 @@ class _PrefixTree:
         high = np.searchsorted(self._ranks, self._rank_keys(highs.reshape(flat)), side="right")
         return low.reshape(keys.shape), high.reshape(keys.shape)
 
-    def items_between(self, low: int, high: int) -> List[Hashable]:
-        """Live items in rows ``[low, high)``, in key order."""
-        if low >= high:
-            return []
+    def items_between(self, low: int, high: int) -> np.ndarray:
+        """Ids of the live items in rows ``[low, high)``, in key order."""
         if self._dead:
-            rows = np.flatnonzero(self._alive[low:high])
-            return [self._items[low + int(row)] for row in rows]
+            return self._items[low:high][self._alive[low:high]]
         return self._items[low:high]
 
     def estimated_bytes(self) -> int:
-        """Approximate footprint: keys, rank keys, and item references."""
+        """Approximate footprint: keys, rank keys, item ids and the row registry."""
         pending = len(self._pending) * (self.key_length * 8 + 8)
-        return int(self._keys.nbytes + self._ranks.nbytes + 8 * len(self._items) + pending)
+        return int(
+            self._keys.nbytes + self._ranks.nbytes + self._items.nbytes
+            + self._row_of.nbytes + pending
+        )
 
 
 class LSHForest:
@@ -352,9 +397,18 @@ class LSHForest:
 
     ``num_hashes`` positions of each signature are split across ``num_trees``
     trees, each using ``num_hashes // num_trees`` positions as its key.
+    Items are stored under their ids in ``ids`` (a registry of its own
+    unless the caller shares one), so every item must be hashable and
+    comparable with the others.
     """
 
-    def __init__(self, num_hashes: int = 256, num_trees: int = 8, seed: int = 11) -> None:
+    def __init__(
+        self,
+        num_hashes: int = 256,
+        num_trees: int = 8,
+        seed: int = 11,
+        ids: Optional[ItemIds] = None,
+    ) -> None:
         if num_trees <= 0 or num_hashes <= 0:
             raise ValueError("num_hashes and num_trees must be positive")
         if num_hashes < num_trees:
@@ -365,7 +419,8 @@ class LSHForest:
         #: Steps of a descent; also the step of an item no walk reaches.
         self.step_count = self.key_length * num_trees
         self.seed = seed
-        self._trees = [_PrefixTree(self.key_length) for _ in range(num_trees)]
+        self.ids = ItemIds() if ids is None else ids
+        self._trees = [_PrefixTree(self.key_length, self.ids) for _ in range(num_trees)]
         self._signatures: Dict[Hashable, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -391,17 +446,19 @@ class LSHForest:
         if key in self._signatures:
             self.remove(key)
         self._signatures[key] = signature
+        item = self.ids.assign(key)
         tree_keys = self._tree_keys(signature)
         for tree_index, tree in enumerate(self._trees):
-            tree.insert(tree_keys[tree_index], key)
+            tree.insert(tree_keys[tree_index], item)
 
     def remove(self, key: Hashable) -> None:
         """Remove ``key`` (no-op when absent)."""
         if key not in self._signatures:
             return
         del self._signatures[key]
+        item = self.ids.find(key)
         for tree in self._trees:
-            tree.remove(key)
+            tree.remove(item)
 
     def remove_batch(self, keys: Sequence[Hashable]) -> None:
         """Remove many keys with one tombstone pass per tree (absent: no-op).
@@ -415,8 +472,9 @@ class LSHForest:
             return
         for key in present:
             del self._signatures[key]
+        items = [self.ids.find(key) for key in present]
         for tree in self._trees:
-            tree.remove_batch(present)
+            tree.remove_batch(items)
 
     def signature(self, key: Hashable) -> np.ndarray:
         """Stored signature for ``key``."""
@@ -436,7 +494,9 @@ class LSHForest:
         without scanning the remaining trees.  The caller is expected to
         re-rank candidates by estimated distance (as D3L does).
         """
-        return self._descend([signature], k, exclude)[0]
+        excluded = None if exclude is None else self.ids.find(exclude)
+        items = self.ids.items
+        return [items[item] for item in self._descend([signature], k, excluded)[0].tolist()]
 
     def query_all(self, signature: np.ndarray, exclude: Optional[Hashable] = None) -> List[Hashable]:
         """Return every key sharing at least the length-1 prefix in some tree."""
@@ -450,11 +510,11 @@ class LSHForest:
     ) -> List:
         """:meth:`query` for many signatures through one batched descent.
 
-        Entry ``i`` equals ``query(signatures[i], k)`` element for element;
-        ``None`` signatures yield empty candidate lists.  ``walks=True``
-        returns each query's :class:`Walk` instead: every item through the
-        step that reached ``k``, with its step (see "Walk order" in the
-        module docstring).
+        Entry ``i`` is the ``int32`` array of the ids (in :attr:`ids`) of
+        ``query(signatures[i], k)``, element for element; ``None``
+        signatures yield empty arrays.  ``walks=True`` returns each query's
+        :class:`Walk` instead: every item through the step that reached
+        ``k``, with its step (see "Walk order" in the module docstring).
         """
         return [
             found
@@ -468,13 +528,15 @@ class LSHForest:
         self,
         signatures: Sequence[Optional[np.ndarray]],
         k: int,
-        exclude: Optional[Hashable] = None,
+        exclude: Optional[int] = None,
         walks: bool = False,
     ) -> List:
-        """The descent behind every query method (see the module docstring)."""
-        results: List = [
-            Walk([], np.empty(0, dtype=np.int32)) if walks else [] for _ in signatures
-        ]
+        """The descent behind every query method (see the module docstring).
+
+        Per query, the ``int32`` ids of its answer, or with ``walks`` its
+        :class:`Walk`; ``exclude`` is an id to leave out.
+        """
+        results: List = [Walk(_NO_IDS, _NO_IDS) if walks else _NO_IDS for _ in signatures]
         populated = [
             index for index, signature in enumerate(signatures) if signature is not None
         ]
@@ -509,15 +571,15 @@ class LSHForest:
         step_ids = (level * self.num_trees + tree_of).astype(np.int32) if walks else None
         start = 0
         for index, end in zip(populated, ends):
-            # An insertion-ordered dict dedups a step's items in one C-level
-            # pass, hashing each item once.
-            found: Dict[Hashable, None] = {}
+            # An insertion-ordered dict dedups a step's ids in one C-level
+            # pass.
+            found: Dict[int, None] = {}
             # Items collected after each step: a walk's steps come from these.
             counts: Optional[List[int]] = [] if walks else None
             for tree_index, step_low, skip_low, skip_high, step_high in steps[start:end]:
                 tree = self._trees[tree_index]
-                found.update(dict.fromkeys(tree.items_between(step_low, skip_low)))
-                found.update(dict.fromkeys(tree.items_between(skip_high, step_high)))
+                found.update(dict.fromkeys(tree.items_between(step_low, skip_low).tolist()))
+                found.update(dict.fromkeys(tree.items_between(skip_high, step_high).tolist()))
                 if exclude is not None:
                     found.pop(exclude, None)
                 if counts is not None:
@@ -525,11 +587,13 @@ class LSHForest:
                 if len(found) >= k:
                     break
             if counts is None:
-                results[index] = list(islice(found, k))
+                results[index] = np.fromiter(
+                    islice(found, k), dtype=np.int32, count=min(k, len(found))
+                )
             else:
                 fresh_counts = np.diff(np.asarray(counts, dtype=np.intp), prepend=0)
                 results[index] = Walk(
-                    list(found),
+                    np.fromiter(found, dtype=np.int32, count=len(found)),
                     np.repeat(step_ids[start : start + len(counts)], fresh_counts),
                 )
             start = end
@@ -576,7 +640,8 @@ class LSHForest:
         """
         tree = self._trees[step % self.num_trees]
         tree._ensure_flushed()
-        return tree._row_of.__getitem__
+        row_of, find = tree._row_of, self.ids.find
+        return lambda item: int(row_of[find(item)])
 
     def edit_walks(
         self,

@@ -6,10 +6,12 @@ interchangeable strategy: for a fixed request, ``serial``, ``thread`` and
 must produce indistinguishable answers.  The serial backend is the oracle;
 the sweeps here pin the other two to it through the public request
 protocol, the SA-join verification kernel, and the raw ``map_shards``
-surface.
+surface.  The index lock's writer preference is checked last.
 """
 
 import itertools
+import threading
+import time
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.core.api import (
 )
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
-from repro.core.execution import BACKENDS, create_backend
+from repro.core.execution import BACKENDS, IndexReadWriteLock, create_backend
 from repro.datagen.synthetic_benchmark import (
     SyntheticBenchmarkConfig,
     generate_synthetic_benchmark,
@@ -180,3 +182,84 @@ class TestRequestBackendField:
         assert payload["backend"] == "thread"
         restored = query_request_from_wire(payload)
         assert restored.backend == "thread"
+
+
+def _start(target) -> threading.Thread:
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+def _wait_for_writer(lock: IndexReadWriteLock) -> None:
+    """Return once a writer is parked on ``lock``."""
+    deadline = time.monotonic() + 5
+    while not lock._writers_waiting:
+        assert time.monotonic() < deadline, "the writer never started waiting"
+        time.sleep(0.001)
+
+
+class TestIndexReadWriteLock:
+    def test_a_writer_gets_in_under_looping_readers(self):
+        """Readers that overlap without a pause kept the reader count above
+        zero, so a writer waited until the traffic stopped."""
+        lock = IndexReadWriteLock()
+        stop, wrote = threading.Event(), threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                with lock.read():
+                    time.sleep(0.005)
+
+        def writer():
+            with lock.write():
+                wrote.set()
+
+        readers = [_start(reader) for _ in range(3)]
+        time.sleep(0.05)
+        threads = readers + [_start(writer)]
+        got_in = wrote.wait(2.0)
+        stop.set()
+        for thread in threads:
+            thread.join(5)
+        assert got_in
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_a_nested_read_succeeds_while_a_writer_waits(self):
+        lock = IndexReadWriteLock()
+        wrote = threading.Event()
+
+        def writer():
+            with lock.write():
+                wrote.set()
+
+        with lock.read():
+            thread = _start(writer)
+            _wait_for_writer(lock)
+            # This thread already reads: parking it behind the writer, which
+            # waits for it, would deadlock.
+            with lock.read():
+                assert not wrote.is_set()
+        thread.join(5)
+        assert wrote.is_set()
+
+    def test_a_new_reader_waits_behind_a_waiting_writer(self):
+        lock = IndexReadWriteLock()
+        order = []
+
+        def writer():
+            with lock.write():
+                order.append("write")
+
+        def reader():
+            with lock.read():
+                order.append("read")
+
+        with lock.read():
+            first = _start(writer)
+            _wait_for_writer(lock)
+            second = _start(reader)
+            time.sleep(0.05)
+            assert order == []
+        first.join(5)
+        second.join(5)
+        assert order == ["write", "read"]

@@ -303,9 +303,10 @@ class TestBatchedRemoval:
                 for row, ref in enumerate(b_refs)
             }
             assert batched_map == sequential_map
-            # Tie-breaking ranks are a pure function of the ref set.
+            # Tie-breaking ranks (the id registry's) order refs as sorting does.
             assert sorted(b_refs) == sorted(s_refs)
-            assert [b_refs[row] for row in np.argsort(batched.ref_ranks())] == sorted(b_refs)
+            ranks = batched._ids.ranks()[[batched._ids.find(ref) for ref in b_refs]]
+            assert [b_refs[row] for row in np.argsort(ranks)] == sorted(b_refs)
         finally:
             engine.close()
 

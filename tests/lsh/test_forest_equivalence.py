@@ -68,7 +68,12 @@ def _assert_batch_matches_scalar(vectorized, scalar, signatures, k):
     """``multi_query`` entry ``i`` equals the scalar descent of signature
     ``i`` element for element (``None`` signatures: empty lists)."""
     expected = [[] if signature is None else scalar.query(signature, k) for signature in signatures]
-    assert vectorized.multi_query(signatures, k) == expected
+    assert named(vectorized, vectorized.multi_query(signatures, k)) == expected
+
+
+def named(forest, answers):
+    """``multi_query`` answers (id arrays) read back as lists of items."""
+    return [[forest.ids.items[item] for item in ids.tolist()] for ids in answers]
 
 
 class TestSignatureEquivalence:
@@ -123,9 +128,8 @@ class TestForestEquivalence:
         assert vectorized.query_all(signature.hashvalues) == scalar.query_all(
             signature.hashvalues
         )
-        assert vectorized.multi_query([signature.hashvalues], len(lake) + 1) == [
-            scalar.query_all(signature.hashvalues)
-        ]
+        answers = vectorized.multi_query([signature.hashvalues], len(lake) + 1)
+        assert named(vectorized, answers) == [scalar.query_all(signature.hashvalues)]
 
     def test_rankings_identical(self, lake):
         """(key, distance) rankings — the contract the discovery engine needs."""
@@ -221,20 +225,20 @@ class TestForestEquivalence:
         batch = [None, lake[3][1].hashvalues, None, None, lake[8][1].hashvalues, None]
         for k in (1, 10, 100):
             _assert_batch_matches_scalar(vectorized, scalar, batch, k)
-        assert vectorized.multi_query([None, None], 5) == [[], []]
+        assert named(vectorized, vectorized.multi_query([None, None], 5)) == [[], []]
         assert vectorized.multi_query([], 5) == []
 
     def test_non_positive_k_yields_empty_lists(self, lake):
         vectorized, scalar = _paired_forests(lake)
         batch = [lake[0][1].hashvalues, None, lake[1][1].hashvalues]
         for k in (0, -3):
-            assert vectorized.multi_query(batch, k) == [[], [], []]
+            assert named(vectorized, vectorized.multi_query(batch, k)) == [[], [], []]
             assert vectorized.query(batch[0], k) == scalar.query(batch[0], k) == []
 
     def test_empty_forest_yields_empty_lists(self, lake):
         vectorized = LSHForest(num_hashes=NUM_HASHES, num_trees=NUM_TREES)
         signature = lake[0][1].hashvalues
-        assert vectorized.multi_query([signature, None], 10) == [[], []]
+        assert named(vectorized, vectorized.multi_query([signature, None], 10)) == [[], []]
         assert vectorized.query(signature, 10) == []
         assert vectorized.query_all(signature) == []
         # Emptied by removals: every row is dead or compacted away.

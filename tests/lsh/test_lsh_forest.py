@@ -168,7 +168,8 @@ class TestTombstoneCompaction:
         assert any(tree._dead for tree in forest._trees)
         survivors = forest.query_all(query.hashvalues)
         assert set(survivors) == {"item0", "item1", "item3"}
-        assert forest.multi_query([query.hashvalues], k=10)[0] == survivors
+        found = forest.multi_query([query.hashvalues], k=10)[0]
+        assert [forest.ids.items[item] for item in found.tolist()] == survivors
 
     def test_compact_to_empty(self, forest, factory):
         for i in range(5):

@@ -9,10 +9,12 @@ walks, and the scalar reference — on random forests through pending
 inserts, tombstones, ``remove_batch`` and compaction.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.lsh.lsh_forest import LSHForest
+from repro.lsh.lsh_forest import LSHForest, Walk
 from repro.lsh.reference import ScalarLSHForest
 
 NUM_TREES = 4
@@ -75,13 +77,25 @@ def histories(draw):
     return signatures, operations, queries, k
 
 
+def named(forest, answers):
+    """``multi_query`` answers with their ids read back as items: lists, or
+    walks whose ``items`` are lists."""
+    items = forest.ids.items
+    if answers and isinstance(answers[0], Walk):
+        return [
+            SimpleNamespace(items=[items[item] for item in walk.ids.tolist()], steps=walk.steps)
+            for walk in answers
+        ]
+    return [[items[item] for item in ids.tolist()] for ids in answers]
+
+
 def assert_walks_follow_the_rule(forest, scalar, live, queries, k):
     expected = [rule_order(live, query) for query in queries]
     probes = queries + [live[item] for item in list(live)[:3]]
     expected += [rule_order(live, live[item]) for item in list(live)[:3]]
     # Kept walks first: they must see pending inserts before any query merges them.
-    walks = forest.multi_query(probes, k, walks=True)
-    answers = forest.multi_query(probes, k)
+    walks = named(forest, forest.multi_query(probes, k, walks=True))
+    answers = named(forest, forest.multi_query(probes, k))
     keys = forest.walk_keys(probes)
     for index, (probe, ranked) in enumerate(zip(probes, expected)):
         items = [item for _, item in ranked]
@@ -153,7 +167,7 @@ class TestWalkOrder:
         forest = LSHForest(num_hashes=NUM_HASHES, num_trees=NUM_TREES)
         for name, signature in signatures.items():
             forest.insert(name, signature)
-        kept = forest.multi_query(queries, k, walks=True)
+        kept = named(forest, forest.multi_query(queries, k, walks=True))
         # Items go, come back with another signature, or arrive new.
         names = list(signatures)
         went = {names[index % len(names)] for index in gone}
@@ -188,7 +202,7 @@ class TestWalkOrder:
         arrived = origin < 0
         assert (new_entries[~arrived] == entries[origin[~arrived]]).all()
         assert set(new_entries[arrived].tolist()) <= {code_of[item] for item in arrivals}
-        for index, walk in enumerate(forest.multi_query(queries, k, walks=True)):
+        for index, walk in enumerate(named(forest, forest.multi_query(queries, k, walks=True))):
             mine = new_walks == index
             if rewalk[index]:
                 # Only a walk that had stopped early can run short.
@@ -208,7 +222,7 @@ class TestWalkOrder:
         for name, values in {"a": signature(), "b": signature(2, 7), "c": signature()}.items():
             forest.insert(name, values)
         queries = [signature(3), signature()]
-        kept = forest.multi_query(queries, 1, walks=True)
+        kept = named(forest, forest.multi_query(queries, 1, walks=True))
         assert [walk.items for walk in kept] == [["a", "c"], ["a", "c"]]
         forest.remove_batch(["a", "c"])
         forest.insert("d", signature())
@@ -222,7 +236,7 @@ class TestWalkOrder:
             np.isin(entries, [0, 2]), np.asarray([3]), reached, 1, items.__getitem__,
         )
         assert not rewalk.any()
-        for index, walk in enumerate(forest.multi_query(queries, 1, walks=True)):
+        for index, walk in enumerate(named(forest, forest.multi_query(queries, 1, walks=True))):
             mine = new_walks == index
             assert [items[code] for code in new_entries[mine].tolist()] == walk.items
             assert new_steps[mine].tolist() == walk.steps.tolist()
@@ -253,7 +267,7 @@ class TestWalkOrder:
         forest = LSHForest(num_hashes=NUM_HASHES, num_trees=NUM_TREES)
         query = np.zeros(NUM_HASHES, dtype=np.uint64)
         assert forest.walk_order(query) == []
-        walk = forest.multi_query([query, None], 3, walks=True)
+        walk = named(forest, forest.multi_query([query, None], 3, walks=True))
         assert [list(entry.items) for entry in walk] == [[], []]
         forest.insert("far", np.ones(NUM_HASHES, dtype=np.uint64))
         assert forest.walk_order(query) == []

@@ -3,7 +3,7 @@
 A hypothesis-style loop (fixed seeds, no external dependency) drives random
 sequences of single inserts, batched inserts, overwrites, removals, and
 compactions against a plain-dictionary model, then checks that ``row``,
-``gather``, ``resolve``, and the packed-row invariants agree with the model
+``gather``, ``rows``, and the packed-row invariants agree with the model
 after every step.
 """
 
@@ -44,11 +44,10 @@ def _check_against_model(matrix: SignatureMatrix, model: dict) -> None:
     # refs property mirrors row order.
     for row, ref in enumerate(refs):
         assert rows[ref] == row
-    # resolve() keeps positions aligned and skips unknown refs.
-    probe = list(model) + [AttributeRef("ghost", "ghost")]
-    positions, resolved_rows = matrix.resolve(probe)
-    assert positions == list(range(len(model)))
-    assert [rows[probe[p]] for p in positions] == resolved_rows
+    # rows() maps ids to rows, -1 for an id without a row here.
+    ghost = matrix._ids.assign(AttributeRef("ghost", "ghost"))
+    probe = np.asarray([matrix._ids.find(ref) for ref in model] + [ghost], dtype=np.int64)
+    assert matrix.rows(probe).tolist() == [rows[ref] for ref in model] + [-1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
