@@ -41,7 +41,6 @@ from repro.core.config import require_positive
 from repro.core.discovery import (
     D3L,
     AttributeSearchResult,
-    BuiltOnRead,
     QueryResult,
     QueryTarget,
     TableResult,
@@ -51,6 +50,7 @@ from repro.core.discovery import (
 from repro.core.evidence import EvidenceType
 from repro.core.execution import BACKENDS
 from repro.core.joins import JoinEdge, JoinPath
+from repro.core.lazy import BuiltOnRead
 from repro.core.profiles import AttributeMatch, TableProfile
 from repro.core.weights import EvidenceWeights
 from repro.lake.datalake import AttributeRef

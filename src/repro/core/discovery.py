@@ -25,9 +25,8 @@ selects the oracle with ``QueryRequest(engine="sequential")``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from repro.core.evidence import EvidenceType
 from repro.core.execution import IndexReadWriteLock
 from repro.core.indexes import _NO_IDS, Candidates, D3LIndexes
 from repro.core.joins import JoinOverlapCache, JoinPathTree, SAJoinGraph, find_join_paths
+from repro.core.lazy import BuiltOnRead
 from repro.core.profiles import AttributeMatch, AttributeProfile, TableProfile
 from repro.core.weights import EvidenceWeights
 from repro.lake.datalake import AttributeRef, DataLake
@@ -65,43 +65,6 @@ class TableResult:
     def covered_target_attributes(self) -> Set[str]:
         """Target attributes aligned with at least one attribute of this table."""
         return {match.target_attribute for match in self.matches}
-
-
-class BuiltOnRead(SequenceABC):
-    """A read-only sequence whose entries are built when read.
-
-    Subclasses give ``__len__`` and ``_entry(position)``.  Indexing,
-    slicing (a list), iteration and ``==`` with a list behave as on the list
-    of entries, and a pickled copy is that list.
-    """
-
-    __slots__ = ()
-
-    def _entry(self, position: int):
-        raise NotImplementedError
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._entry(position) for position in range(len(self))[index]]
-        return self._entry(range(len(self))[index])
-
-    def __iter__(self) -> Iterator:
-        return map(self._entry, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (BuiltOnRead, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other)
-        )
-
-    __hash__ = None  # type: ignore[assignment]  # list-like equality
-
-    def __reduce__(self):
-        return (list, (list(self),))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
 
 
 class TableResults(BuiltOnRead):
@@ -148,12 +111,15 @@ class TableResults(BuiltOnRead):
 
     def _entry(self, position: int) -> TableResult:
         evidence_types = EvidenceType.all()
+        ids = self._ids[position].tolist()
+        distances = self._match_distances[position].tolist()
+        weights = self._match_weights[position].tolist()
         matches = [
             AttributeMatch(
                 target_attribute=self._attribute_names[attribute],
-                source=self._refs[self._ids[position, attribute]],
-                distances=dict(zip(evidence_types, self._match_distances[position, attribute].tolist())),
-                weights=dict(zip(evidence_types, self._match_weights[position, attribute].tolist())),
+                source=self._refs[ids[attribute]],
+                distances=dict(zip(evidence_types, distances[attribute])),
+                weights=dict(zip(evidence_types, weights[attribute])),
             )
             for attribute in np.flatnonzero(self._aligned[position]).tolist()
         ]

@@ -24,18 +24,12 @@ from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
 from repro.core.profiles import AttributeProfile, TableProfile
 from repro.lake.datalake import AttributeRef, DataLake
-from repro.lsh.lsh_forest import ItemIds, LSHForest, Walk
-from repro.lsh.minhash import (
-    MinHash,
-    MinHashFactory,
-    batch_jaccard_distances,
-    pairwise_jaccard_distances,
-)
+from repro.lsh.lsh_forest import _NO_IDS, ItemIds, LSHForest, Walk
+from repro.lsh.minhash import MinHash, MinHashFactory, batch_jaccard_distances
 from repro.lsh.random_projection import (
     RandomProjection,
     RandomProjectionFactory,
     batch_cosine_distances,
-    pairwise_cosine_distances,
 )
 from repro.ml.subject_attribute import SubjectAttributeClassifier, heuristic_subject_attribute
 from repro.stats.ks import ks_statistic_sorted, ks_statistic_sorted_many
@@ -49,9 +43,6 @@ Signature = object
 #: version fell further behind than this cannot reconstruct the mutated-table
 #: set and must fall back to full invalidation.
 _MUTATION_LOG_LIMIT = 64
-
-#: An empty id array (no candidates).
-_NO_IDS = np.empty(0, dtype=np.int32)
 
 
 class AttributeIds(ItemIds):
@@ -870,11 +861,11 @@ class D3LIndexes:
         One batched forest descent
         (:meth:`~repro.lsh.lsh_forest.LSHForest.multi_query`) returns,
         for every signature, exactly the candidates — in the same order —
-        that a one-signature descent returns; every retrieved candidate of
-        every query is then scored in a single gather plus one row-aligned
-        distance kernel, and all queries' candidates are ranked by one
-        ``lexsort`` — the multi-query batching the batched query engine fans
-        out over.  Entry ``i`` is a :class:`Candidates` whose ids (in
+        that a one-signature descent returns; exclusion and the matrix rows
+        of every query's candidates are resolved in one pass, each query's
+        candidates are scored with one kernel call, and all queries'
+        candidates are ranked by one ``lexsort`` — the multi-query batching
+        the batched query engine fans out over.  Entry ``i`` is a :class:`Candidates` whose ids (in
         :attr:`ids`) are, in order, the attributes of ``lookup(evidence,
         ..., query_signatures={...})`` for signature ``i``, with the same
         distances; ``None`` signatures yield empty answers.
@@ -947,9 +938,9 @@ class D3LIndexes:
     ) -> List[np.ndarray]:
         """:meth:`batch_attribute_distances` for many query profiles, on ids.
 
-        Signature-backed evidence types gather every (profile, candidate)
-        pair's matrix row in one pass and score them with a single
-        row-aligned kernel call; the distribution type runs the Algorithm 2
+        Signature-backed evidence types resolve every (profile, candidate)
+        pair's matrix row in one pass and score each profile's candidates
+        with one kernel call; the distribution type runs the Algorithm 2
         KS loop of each profile as one vectorized sweep over the candidates
         sharing its cached sorted extent
         (:func:`~repro.stats.ks.ks_statistic_sorted_many`).  Entry ``i``
@@ -1008,29 +999,23 @@ class D3LIndexes:
         query_of: np.ndarray,
         rows: np.ndarray,
     ) -> np.ndarray:
-        """Distances of (query signature, matrix row) pairs: pair ``j``
-        scores ``signatures[query_of[j]]`` against row ``rows[j]``.
+        """Distances of (query signature, matrix row) pairs grouped by query:
+        pair ``j`` scores ``signatures[query_of[j]]`` against row ``rows[j]``,
+        and ``query_of`` is non-decreasing.
 
-        Every pair is scored with one gather and one row-aligned kernel
-        call.  Values are identical to one :meth:`_batch_signature_distances`
-        call per query.
+        Each query's pairs are one :meth:`_batch_signature_distances` call,
+        the kernel the single-query :meth:`lookup` scores with, comparing
+        the stored rows with the one query row instead of with a copy of it
+        per pair.
         """
-        if not rows.shape[0]:
-            return np.empty(0, dtype=np.float64)
-        populated, query_of = np.unique(query_of, return_inverse=True)
-        query_signatures = [signatures[index] for index in populated.tolist()]
-        queries = np.vstack([_raw(signature) for signature in query_signatures])[query_of]
-        query_flags = np.array(
-            [_is_degenerate(signature) for signature in query_signatures], dtype=bool
-        )[query_of]
-        stored, degenerate_rows = self._matrices[evidence].gather(rows)
-        if evidence is EvidenceType.EMBEDDING:
-            return pairwise_cosine_distances(
-                queries, stored, query_zero=query_flags, zero_rows=degenerate_rows
-            )
-        return pairwise_jaccard_distances(
-            queries, stored, query_empty=query_flags, empty_rows=degenerate_rows
-        )
+        distances = np.empty(rows.shape[0], dtype=np.float64)
+        bounds = np.flatnonzero(np.diff(query_of)) + 1
+        for start, end in zip([0, *bounds.tolist()], [*bounds.tolist(), rows.shape[0]]):
+            if start < end:
+                distances[start:end] = self._batch_signature_distances(
+                    evidence, signatures[int(query_of[start])], rows[start:end]
+                )
+        return distances
 
     def _batch_signature_distances(
         self, evidence: EvidenceType, signature: Signature, rows: np.ndarray

@@ -30,7 +30,6 @@ candidates that entered a pool's first items.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import nullcontext
@@ -55,6 +54,7 @@ from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
 from repro.core.execution import ExecutionBackend, SerialBackend
 from repro.core.indexes import D3LIndexes
+from repro.core.lazy import BuiltOnRead
 from repro.core.profiles import AttributeProfile
 from repro.lake.datalake import AttributeRef
 
@@ -93,7 +93,7 @@ class JoinPath:
         return len(self.tables)
 
 
-class JoinPathTree(Sequence[JoinPath]):
+class JoinPathTree(BuiltOnRead):
     """Algorithm 3's paths as a prefix tree, read as a sequence of paths.
 
     Every path the depth-first walk emits extends an earlier one by one hop,
@@ -105,10 +105,9 @@ class JoinPathTree(Sequence[JoinPath]):
     each as a ``JoinPath`` plus two lists made the survivors trigger full
     garbage collections; the columns hold no per-path container at all.
 
-    The tree is a read-only sequence in walk order: ``len``, integer and
-    negative indexing and iteration work, slicing returns a list, it
-    compares equal to a list of the same paths (in either direction), and
-    it pickles.  ``list(tree)`` copies it into plain paths.
+    The tree is a read-only sequence in walk order
+    (:class:`~repro.core.lazy.BuiltOnRead`); ``list(tree)`` copies it into
+    plain paths.
     """
 
     __slots__ = ("_parents", "_tables", "_edges")
@@ -126,33 +125,7 @@ class JoinPathTree(Sequence[JoinPath]):
     def __len__(self) -> int:
         return len(self._tables)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._path(position) for position in range(len(self))[index]]
-        position = operator.index(index)
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError("join path index out of range")
-        return self._path(position)
-
-    def __iter__(self) -> Iterator[JoinPath]:
-        for position in range(len(self)):
-            yield self._path(position)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (JoinPathTree, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other)
-        )
-
-    __hash__ = None  # type: ignore[assignment]  # mutable-sequence equality
-
-    def __repr__(self) -> str:
-        return f"JoinPathTree({list(self)!r})"
-
-    def _path(self, position: int) -> JoinPath:
+    def _entry(self, position: int) -> JoinPath:
         tables: List[str] = []
         edges: List[JoinEdge] = []
         parent: Union[int, str] = position

@@ -175,34 +175,6 @@ def batch_jaccard_distances(
     return distances
 
 
-def pairwise_jaccard_distances(
-    queries: np.ndarray,
-    stored: np.ndarray,
-    query_empty: Optional[np.ndarray] = None,
-    empty_rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row-aligned Jaccard distances between two ``(n, num_perm)`` matrices.
-
-    Row ``i`` of ``queries`` is compared with row ``i`` of ``stored`` — the
-    multi-query counterpart of :func:`batch_jaccard_distances`, letting the
-    batched query engine score every (target attribute, candidate) pair of
-    one evidence type with a single agreement count.  Pairs flagged in
-    ``query_empty`` / ``empty_rows`` get the maximal distance 1.0, exactly as
-    the scalar empty-signature convention demands.
-    """
-    count = stored.shape[0]
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    num_perm = int(stored.shape[1])
-    agreements = np.count_nonzero(queries == stored, axis=1)
-    distances = _jaccard_distance_table(num_perm)[agreements]
-    if query_empty is not None:
-        distances[query_empty] = 1.0
-    if empty_rows is not None:
-        distances[empty_rows] = 1.0
-    return distances
-
-
 def exact_jaccard(first: Iterable[str], second: Iterable[str]) -> float:
     """Exact Jaccard similarity between two token collections.
 

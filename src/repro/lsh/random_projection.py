@@ -203,32 +203,6 @@ def batch_cosine_distances(
     return distances
 
 
-def pairwise_cosine_distances(
-    queries: np.ndarray,
-    stored: np.ndarray,
-    query_zero: Optional[np.ndarray] = None,
-    zero_rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row-aligned cosine distances between two ``(n, num_bits)`` bit matrices.
-
-    Row ``i`` of ``queries`` is compared with row ``i`` of ``stored`` — the
-    multi-query counterpart of :func:`batch_cosine_distances`.  Pairs flagged
-    in ``query_zero`` / ``zero_rows`` get the maximal distance 1.0, matching
-    the scalar zero-vector convention.
-    """
-    count = stored.shape[0]
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    num_bits = int(stored.shape[1])
-    differing = np.count_nonzero(queries != stored, axis=1)
-    distances = _cosine_distance_table(num_bits)[differing]
-    if query_zero is not None:
-        distances[query_zero] = 1.0
-    if zero_rows is not None:
-        distances[zero_rows] = 1.0
-    return distances
-
-
 def exact_cosine_similarity(first: Sequence[float], second: Sequence[float]) -> float:
     """Exact cosine similarity between two vectors (0 when either is zero)."""
     a = np.asarray(first, dtype=np.float64)
