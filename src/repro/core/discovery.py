@@ -989,7 +989,8 @@ def _candidate_columns(
     attribute's candidates are the union of its lookups, as lake attribute
     ids in ref order.  Every (attribute, candidate, evidence) distance is
     computed once: a lookup already scored its own candidates, and one
-    row-aligned kernel per indexed evidence type scores the rest.  Returns
+    ``multi_batch_attribute_distances`` call per indexed evidence type
+    scores the rest.  Returns
     the lookups, the candidate ids per attribute, where each lookup's ids
     sit among them, and the distance columns (the four indexed types, plus
     an all-ones distribution column).
