@@ -865,10 +865,11 @@ class D3LIndexes:
         of every query's candidates are resolved in one pass, each query's
         candidates are scored with one kernel call, and all queries'
         candidates are ranked by one ``lexsort`` — the multi-query batching
-        the batched query engine fans out over.  Entry ``i`` is a :class:`Candidates` whose ids (in
-        :attr:`ids`) are, in order, the attributes of ``lookup(evidence,
-        ..., query_signatures={...})`` for signature ``i``, with the same
-        distances; ``None`` signatures yield empty answers.
+        the batched query engine fans out over.  Entry ``i`` is a
+        :class:`Candidates` whose ids (in :attr:`ids`) are, in order, the
+        attributes of ``lookup(evidence, ..., query_signatures={...})`` for
+        signature ``i``, with the same distances; ``None`` signatures yield
+        empty answers.
 
         ``exclude_tables`` gives each query its own exclusion (entry ``i``
         applies to signature ``i``), which is how the SA-join graph build
