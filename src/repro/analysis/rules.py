@@ -352,15 +352,16 @@ def _is_set_expr(node: ast.expr, set_vars: Set[str]) -> bool:
 #: Call tails that allocate an OS-backed resource wherever they appear.
 _POOL_TAILS = {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "ThreadPool"}
 
-#: Execution-backend factories and process-serving worker spawn sites.  A
-#: backend owns pools and shared-memory snapshots; a serving worker owns a
-#: live child process — both must be scoped exactly like a raw pool.
+#: Execution-backend factories and worker spawn sites.  A backend or a
+#: worker pool owns worker processes and shared-memory snapshots; a worker
+#: owns a live child process — all must be scoped exactly like a raw pool.
 _BACKEND_FACTORY_TAILS = {
     "create_backend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "_ServingWorker",
+    "WorkerPool",
+    "ProcessWorker",
     "Process",
 }
 
@@ -390,8 +391,8 @@ _CLOSER_ATTRS = {
 @register(
     "R3",
     "resource-lifecycle",
-    "SharedMemory(create=True), pools, execution backends, serving worker "
-    "processes, and CLI engine/session handles must be released via "
+    "SharedMemory(create=True), pools, execution backends, worker pools, "
+    "worker processes, and CLI engine/session handles must be released via "
     "with/try-finally/close/finalize in the same scope or class",
     patterns=("cli.py", "core/*.py"),
 )

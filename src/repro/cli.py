@@ -325,15 +325,19 @@ def _command_serve(args: argparse.Namespace) -> int:
     # idempotent, so the normal teardown inside run_until_interrupt
     # composes with them.
     try:
-        server = DiscoveryServer(
-            engine,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            profile_cache_size=args.cache_size,
-            verbose=args.verbose,
-            backend=args.backend,
-        )
+        try:
+            server = DiscoveryServer(
+                engine,
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                profile_cache_size=args.cache_size,
+                verbose=args.verbose,
+                backend=args.backend,
+            )
+        except OSError as error:  # e.g. the port is taken
+            print(f"cannot serve on {args.host}:{args.port}: {error}", file=sys.stderr)
+            return 1
         try:
             tables = len(engine.indexes.table_profiles)
             attributes = len(engine.indexes.profiles)

@@ -1,12 +1,9 @@
-"""Pluggable execution backends behind every fan-out call site.
+"""Pluggable execution backends behind every fan-out call site, and the one
+process-worker runtime.
 
-Three parallel-execution stacks grew up side by side — the worker pools of
-:mod:`repro.core.parallel`, the snapshot ship/attach/delta machinery of
-:mod:`repro.core.shared`, and the serving session pool of
-:mod:`repro.core.server`.  This module extracts the one abstraction they all
-shared implicitly: *run a pure shard function over a list of payloads against
-one logical view of the indexes*.  :class:`ExecutionBackend` is that
-contract, with three implementations:
+:class:`ExecutionBackend` is the contract every fan-out call site programs
+against: *run a pure shard function over a list of payloads against one
+logical view of the indexes*.  Three implementations:
 
 ``serial``
     :class:`SerialBackend` — a list comprehension in the calling thread.
@@ -19,11 +16,16 @@ contract, with three implementations:
     the GIL.
 
 ``process``
-    :class:`ProcessBackend` — worker processes attached read-only to a
-    :class:`~repro.core.shared.SharedIndexSnapshot` (descriptor shipping,
-    ~50 bytes per worker), refreshed after lake mutations by net deltas from
-    the index journal (:func:`~repro.core.shared.build_index_delta`) riding
-    on task payloads.  True parallelism; the default for fan-out.
+    :class:`ProcessBackend` — a :class:`WorkerPool`: worker processes
+    attached read-only to one :class:`~repro.core.shared.SharedIndexSnapshot`
+    (descriptor shipping, ~50 bytes per worker), refreshed after lake
+    mutations by net deltas from the index journal
+    (:func:`~repro.core.shared.build_index_delta`) riding on each message.
+    True parallelism; the default for fan-out.
+
+:class:`WorkerPool` is also what ``repro serve --backend process`` runs on
+(:mod:`repro.core.server`), so attach, delta, re-export, crash replacement
+and shutdown exist once.
 
 A shard function is a module-level callable ``fn(indexes, payload)`` — pure
 in both arguments.  Backends differ only in *which object* arrives as
@@ -33,20 +35,24 @@ keyed, every backend returns the identical result list for identical
 payloads.  ``tests/core/test_execution.py`` sweeps that equivalence.
 
 Lifecycle: every backend is a context manager, ``close()`` is idempotent,
-and pooled backends carry a ``weakref.finalize`` backstop so abandoning one
-without closing leaks neither worker processes nor ``/dev/shm`` segments.
-Process-owning backends (and the process-backend serving tier) register in a
-weak set so the leak-audit helper :func:`live_worker_pids` can distinguish
-owned workers from strays.
+and pools carry a finalizer backstop so abandoning one without closing
+leaks neither worker processes nor ``/dev/shm`` segments; workers also exit
+when their parent dies.  Worker pools register in a weak set so the
+leak-audit helper :func:`live_worker_pids` can distinguish owned workers
+from strays.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.util
 import os
+import queue
+import signal
 import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -71,27 +77,17 @@ BACKENDS = ("serial", "thread", "process")
 #: than shipping per-table profiles and signatures with every task.
 _DELTA_MAX_TABLES = 32
 
-#: Every live owner of worker *processes* in this process (pooled backends
-#: and process-backend servers), for the leak-audit helpers
-#: (:func:`live_worker_pids`).  Weak so dropped owners vanish from the audit
-#: once their finalizer has run.  Owners expose ``worker_pids() -> Set[int]``.
-_LIVE_WORKER_OWNERS: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def register_worker_owner(owner) -> None:
-    """Track ``owner`` (weakly) as a holder of worker processes.
-
-    ``owner`` must expose ``worker_pids() -> Set[int]``; the leak audit in
-    ``tests/conftest.py`` treats those PIDs as accounted for.
-    """
-    _LIVE_WORKER_OWNERS.add(owner)
+#: Every live :class:`WorkerPool` in this process, for the leak audit
+#: (:func:`live_worker_pids`; ``tests/conftest.py`` treats those PIDs as
+#: accounted for).  Weak, so dropped pools vanish from the audit.
+_LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def live_worker_pids() -> Set[int]:
-    """PIDs of worker processes owned by live pools and servers."""
+    """PIDs of worker processes owned by live worker pools."""
     pids: Set[int] = set()
-    for owner in list(_LIVE_WORKER_OWNERS):
-        pids.update(owner.worker_pids())
+    for pool in list(_LIVE_POOLS):
+        pids.update(pool.worker_pids())
     return pids
 
 
@@ -193,49 +189,6 @@ def _snapshot_descriptor(
     return snapshot.descriptor, snapshot
 
 
-# --------------------------------------------------------------------------- #
-# process-worker residency
-# --------------------------------------------------------------------------- #
-
-#: The worker process's resident view of the indexes, attached once by the
-#: pool initializer.  Over the shared-memory path this is a read-only
-#: reconstruction whose arrays are views into the host's one segment; only
-#: under the degraded ``("pickle", ...)`` descriptor is it a private copy.
-_WORKER_INDEXES: Optional["D3LIndexes"] = None
-
-
-def _init_process_worker(descriptor: "Descriptor") -> None:
-    """Pool initializer: attach this worker process to the shipped view."""
-    global _WORKER_INDEXES
-    from repro.core.shared import SharedIndexSnapshot
-
-    _WORKER_INDEXES = (
-        SharedIndexSnapshot.attach(descriptor) if descriptor is not None else None
-    )
-
-
-def _refresh_worker_indexes(delta) -> None:
-    """Bring this worker's resident index up to the host's version.
-
-    ``delta`` is a :func:`~repro.core.shared.build_index_delta` result (or
-    None when the pool's snapshot is already current).  The delta rides on
-    every task payload rather than being broadcast — each worker applies it
-    on its next task, and the apply is idempotent and convergent from any
-    intermediate state, so no barrier across the pool is needed.
-    """
-    if delta is not None:
-        from repro.core.shared import apply_index_delta
-
-        apply_index_delta(_WORKER_INDEXES, delta)
-
-
-def _run_process_shard(task):
-    """Trampoline for pooled shards: refresh, then run the pure shard fn."""
-    fn, delta, payload = task
-    _refresh_worker_indexes(delta)
-    return fn(_WORKER_INDEXES, payload)
-
-
 def _verify_overlaps_shard(
     indexes: "D3LIndexes", pairs
 ) -> List[Tuple["AttributeRef", "AttributeRef", float]]:
@@ -260,12 +213,284 @@ def _verify_overlaps_shard(
     ]
 
 
-def _finalize_pool(pool, snapshot) -> None:
-    """Backstop for backends dropped without ``close()``: reap pool, unlink
-    segment (worker mappings stay valid through their own exit)."""
-    pool.shutdown(wait=False)
+# --------------------------------------------------------------------------- #
+# process workers
+# --------------------------------------------------------------------------- #
+
+#: Seconds an idle worker waits for a message before it checks that its
+#: parent is still alive.
+_PARENT_CHECK_S = 1.0
+
+
+def _worker_main(conn, descriptor: "Descriptor", parent: int) -> None:
+    """The worker loop: attach ``descriptor`` once, then answer messages.
+
+    ``(fn, delta, payload)`` is answered with ``(True, fn(view, payload))``
+    after the (idempotent) ``delta`` apply, or with ``(False, exception)``;
+    an exception that does not pickle travels as ``RuntimeError("Type:
+    message")``.  ``None``, EOF or the parent's death ends the loop.  The
+    parent is polled for because a forked worker holds its own and its older
+    siblings' parent-side pipe ends, so the parent dying is never EOF here.
+    """
+    from repro.core.shared import SharedIndexSnapshot, apply_index_delta
+
+    # A foreground Ctrl-C reaches the whole process group; stopping workers
+    # is the parent's job, so do not die mid-message with a traceback.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    view = SharedIndexSnapshot.attach(descriptor)
+    try:
+        while True:
+            while not conn.poll(_PARENT_CHECK_S):
+                if os.getppid() != parent:
+                    return
+            message = conn.recv()
+            if message is None:
+                return
+            fn, delta, payload = message
+            try:
+                if delta is not None:
+                    apply_index_delta(view, delta)
+                reply = (True, fn(view, payload))
+            except Exception as error:  # noqa: BLE001 - raised again in the parent
+                reply = (False, error)
+            try:
+                conn.send(reply)
+            except Exception as error:  # noqa: BLE001 - the reply does not pickle
+                failed = error if reply[0] else reply[1]
+                conn.send((False, RuntimeError(f"{type(failed).__name__}: {failed}")))
+    except (EOFError, OSError):
+        pass  # the parent closed its end
+    finally:
+        conn.close()
+
+
+class WorkerDied(RuntimeError):
+    """A worker process exited before it replied."""
+
+
+class ProcessWorker:
+    """One worker process and the parent's end of its duplex pipe.
+
+    The owner sends one message, then reads its reply.  A worker whose reply
+    is unread (:attr:`awaiting` — it died, or its caller gave up) must be
+    closed: its next caller would read the stale reply.
+    """
+
+    def __init__(self, descriptor: "Descriptor") -> None:
+        self.descriptor = descriptor
+        self.conn, child = multiprocessing.Pipe()
+        # Not a daemon: a worker may fan out to workers of its own (a served
+        # request with workers > 1), and daemonic processes cannot have any.
+        self.process = multiprocessing.Process(
+            target=_worker_main,
+            args=(child, descriptor, os.getpid()),
+            name="repro-worker",
+        )
+        self.process.start()
+        child.close()  # the worker holds the only copy: its death is EOF here
+        self.awaiting = False
+
+    def send(self, message) -> None:
+        try:
+            self.conn.send(message)  # a message that does not pickle is never sent
+        except OSError:
+            pass  # the worker is gone; receive() reports it
+        self.awaiting = True
+
+    def receive(self):
+        """The reply's value, or the worker-side exception raised here."""
+        try:
+            ok, value = self.conn.recv()
+        except (EOFError, OSError) as error:
+            raise WorkerDied("worker process died") from error
+        self.awaiting = False
+        if ok:
+            return value
+        raise value
+
+    def close(self) -> None:
+        """Stop the worker and reap it (idempotent)."""
+        if self.awaiting:
+            self.process.terminate()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        self.conn.close()
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # pragma: no cover - an unresponsive worker
+            self.process.terminate()
+            self.process.join()
+
+
+def _shutdown(workers: List[ProcessWorker], snapshot) -> None:
+    """Stop ``workers`` and unlink ``snapshot``: a pool's close, and its
+    backstop when it is dropped unclosed or the interpreter exits."""
+    for worker in workers:
+        worker.close()
+    workers.clear()
     if snapshot is not None:
         snapshot.close()
+
+
+class WorkerPool:
+    """``processes`` worker processes over one snapshot of ``indexes``: the
+    runtime of :class:`ProcessBackend` and ``repro serve --backend process``.
+
+    The pool exports the snapshot (the pickle descriptor when no shared
+    backing can be made, and under ``share_index=False``, which ships
+    ``indexes`` itself).  Once the indexes move past it, every message
+    carries one net delta against the snapshot's fixed version, built once
+    per index version; when the journal cannot build one, or more than
+    :data:`_DELTA_MAX_TABLES` tables moved, the workers restart over a fresh
+    export.  A worker that dies before replying is replaced and sent the
+    message once more (pool functions are pure reads).  Workers are checked
+    out first-in first-out, so sequential :meth:`run` calls take them in
+    turn.  ``index_lock``, when given, is read-held while the pool reads the
+    indexes (callers of :class:`ProcessBackend` already hold it).
+    """
+
+    def __init__(
+        self,
+        indexes: Optional["D3LIndexes"],
+        processes: int,
+        share_index: bool = True,
+        index_lock: Optional[IndexReadWriteLock] = None,
+    ) -> None:
+        self.indexes = indexes
+        self.processes = processes
+        self._share_index = share_index and indexes is not None
+        self._reading = index_lock.read if index_lock is not None else nullcontext
+        # Held by every checkout and by a re-export, which drains the idle
+        # queue; check-in takes no lock, so a re-export can wait for it.
+        self._lock = threading.Lock()
+        self._idle: "queue.Queue[ProcessWorker]" = queue.Queue()
+        self._workers: List[ProcessWorker] = []
+        self._snapshot: Optional["SharedIndexSnapshot"] = None
+        self._snapshot_version: Optional[int] = None
+        self._delta = None
+        self._delta_version: Optional[int] = None
+        self._closed = False
+        _LIVE_POOLS.add(self)
+        with self._lock, self._reading():
+            self._export()
+
+    @property
+    def snapshot(self) -> Optional["SharedIndexSnapshot"]:
+        """The live shared snapshot (None under the pickle descriptor)."""
+        return self._snapshot
+
+    def worker_pids(self) -> Set[int]:
+        """PIDs of this pool's live worker processes (leak audit)."""
+        return {w.process.pid for w in list(self._workers) if w.process.is_alive()}
+
+    def run(self, fn: Callable, payload):
+        """``fn(view, payload)`` on the next idle worker."""
+        return self.map(fn, [payload])[0]
+
+    def map(self, fn: Callable, payloads: Sequence) -> List:
+        """``fn(view, payload)`` for every payload, dealt across the workers,
+        in payload order."""
+        payloads = list(payloads)
+        if not payloads:
+            return []
+        delta, workers = self._checkout(min(self.processes, len(payloads)))
+        results = []
+        try:
+            for start in range(0, len(payloads), len(workers)):
+                messages = [(fn, delta, p) for p in payloads[start : start + len(workers)]]
+                for worker, message in zip(workers, messages):
+                    worker.send(message)
+                for slot, message in enumerate(messages):
+                    results.append(self._receive(workers, slot, message))
+        finally:
+            for worker in workers:
+                self._checkin(worker)
+        return results
+
+    def close(self) -> None:
+        """Stop every worker and unlink the snapshot (idempotent)."""
+        with self._lock:
+            self._closed = True
+            self._finalizer()
+            self._snapshot = None
+
+    def _export(self) -> None:
+        """Export a snapshot and start the workers on it."""
+        if self._share_index:
+            descriptor, self._snapshot = _snapshot_descriptor(self.indexes)
+            self._snapshot_version = self.indexes.version
+        else:
+            descriptor = ("pickle", self.indexes)
+        self._delta = self._delta_version = None
+        # multiprocessing's finalizer, not weakref's: at interpreter exit it
+        # runs before multiprocessing joins its non-daemonic children, which
+        # would otherwise wait forever on idle workers.
+        self._finalizer = multiprocessing.util.Finalize(
+            self, _shutdown, args=(self._workers, self._snapshot), exitpriority=0
+        )
+        for _ in range(self.processes):
+            self._idle.put(self._spawn(descriptor))
+
+    def _spawn(self, descriptor: "Descriptor") -> ProcessWorker:
+        worker = ProcessWorker(descriptor)
+        self._workers.append(worker)
+        return worker
+
+    def _checkout(self, count: int) -> Tuple[object, List[ProcessWorker]]:
+        """The delta every message carries, and ``count`` idle workers."""
+        from repro.core import shared
+
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            with self._reading():
+                version = self.indexes.version if self._share_index else None
+                if version != self._snapshot_version and version != self._delta_version:
+                    delta = shared.build_index_delta(
+                        self.indexes, self._snapshot_version, max_tables=_DELTA_MAX_TABLES
+                    )
+                    if delta is None:
+                        for _ in range(self.processes):  # every worker checked in
+                            self._idle.get()
+                        self._finalizer()
+                        # A failed export leaves the pool closed (raising on
+                        # use), not empty (hanging the next checkout).
+                        self._closed = True
+                        self._export()
+                        self._closed = False
+                    else:
+                        self._delta, self._delta_version = delta, version
+            return self._delta, [self._idle.get() for _ in range(count)]
+
+    def _receive(self, workers: List[ProcessWorker], slot: int, message):
+        """``workers[slot]``'s reply to ``message``; a worker that died first
+        is replaced and sent the message once more."""
+        try:
+            return workers[slot].receive()
+        except WorkerDied:
+            workers[slot] = self._replace(workers[slot])
+            workers[slot].send(message)
+            return workers[slot].receive()
+
+    def _replace(self, worker: ProcessWorker) -> ProcessWorker:
+        """A fresh worker in ``worker``'s place, over the same descriptor, so
+        a delta computed for the old one holds for the new."""
+        worker.close()
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        fresh = ProcessWorker(worker.descriptor)
+        self._workers[self._workers.index(worker)] = fresh
+        return fresh
+
+    def _checkin(self, worker: ProcessWorker) -> None:
+        if worker.awaiting and not self._closed:
+            try:
+                worker = self._replace(worker)
+            except OSError:  # pragma: no cover - no process to be had
+                pass  # the closed worker keeps its slot; its next use replaces it
+        self._idle.put(worker)
 
 
 # --------------------------------------------------------------------------- #
@@ -405,17 +630,13 @@ class ThreadBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """Shards on worker processes attached to a shared index snapshot.
 
-    The worker pool is created lazily on the first multi-shard map and kept
-    alive for the backend's lifetime.  Pool spin-up exports one
-    :class:`~repro.core.shared.SharedIndexSnapshot` of the indexes and ships
-    each worker only the segment descriptor (~50 bytes); workers attach
-    read-only array views over the one host-resident segment, so N workers
-    cost neither N× index memory nor per-pool pickling.  The snapshot is
-    taken at pool creation; when the index version moves past it,
-    :meth:`_ensure_pool` self-heals — preferably by computing a per-table
-    delta (:func:`~repro.core.shared.build_index_delta`) that subsequent task
-    payloads carry to the workers, falling back to recreating pool and
-    snapshot when the mutation set is too large or no longer reconstructible.
+    The first multi-shard map starts a :class:`WorkerPool` of
+    ``_pool_size(workers)`` processes, kept for the backend's lifetime: one
+    exported :class:`~repro.core.shared.SharedIndexSnapshot` whose ~50-byte
+    descriptor every worker attaches read-only, so N workers cost neither N×
+    index memory nor per-pool pickling.  When the indexes move past the
+    snapshot, the pool ships a per-table journal delta with each shard, or
+    re-exports when the journal cannot build one.
 
     ``share_index=False`` skips the snapshot/delta machinery and ships the
     given view (a profiling clone, or None) to each worker verbatim through
@@ -433,90 +654,27 @@ class ProcessBackend(ExecutionBackend):
         share_index: bool = True,
     ) -> None:
         super().__init__(indexes, workers)
-        self._share_index = share_index and indexes is not None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._snapshot: Optional["SharedIndexSnapshot"] = None
-        self._pool_version: Optional[int] = None
-        # Version the current snapshot was exported at (the fixed delta base:
-        # individual workers may sit at any state between it and the current
-        # version, depending on which deltas they have already applied), and
-        # the pending delta shipped with every pooled task payload.
-        self._snapshot_version: Optional[int] = None
-        self._delta = None
-        self._finalizer: Optional[weakref.finalize] = None
-        register_worker_owner(self)
+        self._share_index = share_index
+        self._pool: Optional[WorkerPool] = None
+        self._pool_lock = threading.Lock()
 
     @property
     def snapshot(self) -> Optional["SharedIndexSnapshot"]:
         """The live shared snapshot backing the pool (None before spin-up or
         under the degraded pickle descriptor)."""
-        return self._snapshot
+        return self._pool.snapshot if self._pool is not None else None
 
     def worker_pids(self) -> Set[int]:
         """PIDs of this backend's live worker processes (leak audit)."""
-        processes = getattr(self._pool, "_processes", None) if self._pool else None
-        return set(processes.keys()) if processes else set()
+        return self._pool.worker_pids() if self._pool is not None else set()
 
     def close(self) -> None:
-        """Shut the pool down and unlink its snapshot (the backend can be
-        reused afterwards — the next fan-out re-creates both)."""
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._snapshot is not None:
-            self._snapshot.close()
-            self._snapshot = None
-        self._pool_version = None
-        self._snapshot_version = None
-        self._delta = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if (
-            self._pool is not None
-            and self._share_index
-            and self._pool_version != self.indexes.version
-        ):
-            # The indexes moved past the state the workers hold.  Prefer a
-            # per-table delta refresh over tearing the pool down: the delta
-            # is always computed against the fixed snapshot version, so it is
-            # valid for a worker at any intermediate state.
-            from repro.core.shared import build_index_delta
-
-            delta = build_index_delta(
-                self.indexes, self._snapshot_version, max_tables=_DELTA_MAX_TABLES
-            )
-            if delta is None:
-                # Not reconstructible (journal window exceeded) or too many
-                # tables mutated — re-export the current state.
-                self.close()
-            else:
-                self._delta = delta
-                self._pool_version = self.indexes.version
-        if self._pool is None:
-            if self._share_index:
-                descriptor, self._snapshot = _snapshot_descriptor(self.indexes)
-                self._pool_version = self.indexes.version
-                self._snapshot_version = self.indexes.version
-            else:
-                descriptor = ("pickle", self.indexes)
-            self._delta = None
-            self._pool = ProcessPoolExecutor(
-                max_workers=_pool_size(self.workers),
-                initializer=_init_process_worker,
-                initargs=(descriptor,),
-            )
-            # Reap the pool and unlink the segment when the backend is
-            # dropped without an explicit close(), so abandoned engines leak
-            # neither worker processes nor /dev/shm segments (and do not
-            # trip the interpreter-exit wakeup of concurrent.futures on an
-            # already-collected pipe).
-            self._finalizer = weakref.finalize(
-                self, _finalize_pool, self._pool, self._snapshot
-            )
-        return self._pool
+        """Stop the pool and unlink its snapshot (the backend can be reused
+        afterwards — the next fan-out starts a new pool)."""
+        with self._pool_lock:
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
 
     def map_shards(self, fn: Callable, payloads: Sequence) -> List:
         payloads = list(payloads)
@@ -525,9 +683,15 @@ class ProcessBackend(ExecutionBackend):
             # short-circuit every call site used before the backend layer,
             # so one-shard work never pays for pool spin-up.
             return [fn(self.indexes, payload) for payload in payloads]
-        pool = self._ensure_pool()
-        tasks = [(fn, self._delta, payload) for payload in payloads]
-        return list(pool.map(_run_process_shard, tasks))
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = WorkerPool(
+                    self.indexes,
+                    _pool_size(self.workers),
+                    share_index=self._share_index,
+                )
+            pool = self._pool
+        return pool.map(fn, payloads)
 
 
 def create_backend(

@@ -26,35 +26,33 @@ at construction and on the CLI via ``repro serve --backend``:
     zero-copy, but CPU-bound query work serialises on the GIL.
 
 ``process``
-    The same HTTP front end, but each of the ``workers`` slots is a
-    *worker process* attached read-only to one
-    :class:`~repro.core.shared.SharedIndexSnapshot` of the engine's
-    indexes.  Requests travel over a per-worker duplex pipe; each worker
-    runs its own caching session (sessions and caches live worker-side),
-    so queries execute with true parallelism — the GIL ceiling ROADMAP
-    open item 1 names is lifted.  Lake mutations propagate exactly as
-    pooled fan-out payloads do: the parent computes one net delta from the
-    index journal (:func:`~repro.core.shared.build_index_delta`) against
-    the fixed snapshot version and ships it with each request until the
-    snapshot is re-exported; the apply is idempotent, so workers converge
-    from any intermediate state.  Responses remain byte-identical to an
-    in-process session (the worker runs the very same
-    ``session.submit(request).truncated().to_dict()``).
+    The same HTTP front end over a :class:`~repro.core.execution.WorkerPool`
+    of ``workers`` processes — the runtime process fan-out also uses —
+    attached read-only to one
+    :class:`~repro.core.shared.SharedIndexSnapshot` of the engine's indexes.
+    Each request goes to the next idle worker, whose own caching session
+    answers it with true parallelism (no GIL ceiling); lake mutations reach
+    the workers as the pool's journal deltas.  Responses remain
+    byte-identical to an in-process session (the worker runs the very same
+    ``session.submit(request).truncated().to_dict()``), worker-side
+    exceptions are raised again as they were raised, and a worker that dies
+    mid-request is replaced and the request sent once more.
 
-Lifecycle: :meth:`DiscoveryServer.close` (idempotent, also the
-``__exit__``) stops accepting, drains handler threads, then closes every
-session or worker process — which reaps the engine's worker pools and
-unlinks its ``/dev/shm`` segments — so a served engine shuts down
-leak-free under either backend.  :meth:`run_until_interrupt` wires
-SIGINT/SIGTERM to that teardown for the CLI's foreground mode.
+Lifecycle: the port is bound before any worker starts.
+:meth:`DiscoveryServer.close` (idempotent, also the ``__exit__``) stops
+accepting, drains handler threads, then closes every session or the worker
+pool — which reaps the engine's worker pools and unlinks its ``/dev/shm``
+segments — so a served engine shuts down leak-free under either backend.
+Workers also exit on their own when the server process dies.
+:meth:`run_until_interrupt` wires SIGINT/SIGTERM to that teardown for the
+CLI's foreground mode.
 """
 
 from __future__ import annotations
 
-import builtins
 import io
 import json
-import multiprocessing
+import multiprocessing.util
 import queue
 import signal
 import threading
@@ -71,11 +69,7 @@ from repro.core.api import (
 )
 from repro.core.config import require_positive
 from repro.core.discovery import D3L
-from repro.core.execution import (
-    _DELTA_MAX_TABLES,
-    _snapshot_descriptor,
-    register_worker_owner,
-)
+from repro.core.execution import WorkerPool
 
 #: Server identifier reported by ``/healthz`` and the ``Server`` header.
 SERVER_NAME = "repro-serve/1"
@@ -118,145 +112,58 @@ def index_status(engine: D3L, sessions: List[DiscoverySession]) -> Dict[str, obj
 
 
 # --------------------------------------------------------------------------- #
-# process-backend worker machinery
+# process-backend serving (runs inside the pool's worker processes)
 # --------------------------------------------------------------------------- #
 
+#: This worker process's ``[session, version]``: its caching session over
+#: the attached view, and the index version its join-overlap cache reflects.
+_served: list = []
 
-def _serving_worker_main(conn, descriptor, weights, cache_size: int) -> None:
-    """A serving worker process: one caching session over the attached index.
 
-    The worker attaches the shipped snapshot descriptor read-only, mirrors
-    the parent engine around it (same config, embedding model, weights, and
-    subject classifier — all carried by the snapshot or shipped once), and
-    answers ``("query", request, delta)`` messages with the exact
-    ``QueryResponse.truncated().to_dict()`` payload an in-process session
-    produces.  A non-None ``delta`` is applied before the query (idempotent;
-    skipped when this worker already converged), with the parent's
-    per-table cache eviction (:meth:`~repro.core.discovery.D3L._note_mutation`)
-    replayed for each delta op so worker-side join-overlap caches never
-    serve stale pairs.
+def _worker_session(view, weights, cache_size: int) -> DiscoverySession:
+    """This worker's session over ``view``, built on first use.
+
+    The engine mirrors the parent's around the attached view (config,
+    embedding model and subject classifier travel with the snapshot; the
+    weights with each request).  Before each request, the verified join
+    overlaps of the tables written since the worker's last request are
+    evicted, as the parent's own writes evict them; all of them when the
+    journal cannot say which.
     """
-    from repro.core.shared import SharedIndexSnapshot, apply_index_delta
-
-    # A foreground Ctrl-C delivers SIGINT to the whole process group; shutdown
-    # is the parent's job (a "stop" message or pipe EOF), so ignore it here
-    # rather than dying mid-recv with a KeyboardInterrupt traceback.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    attached = SharedIndexSnapshot.attach(descriptor)
-    engine = D3L(
-        config=attached.config,
-        embedding_model=attached.embedding_model,
-        weights=weights,
-        subject_classifier=attached.subject_classifier,
-    )
-    engine.indexes = attached
-    session = DiscoverySession(engine, profile_cache_size=cache_size)
-    try:
-        while True:
-            try:
-                command, request, delta = conn.recv()
-            except (EOFError, OSError):
-                break
-            if command == "stop":
-                break
-            try:
-                if delta is not None and attached.version < delta[0]:
-                    apply_index_delta(attached, delta)
-                    for op in delta[1]:
-                        engine._note_mutation(op[1])
-                if command == "status":
-                    conn.send(("ok", session.cache_info()))
-                else:
-                    response = session.submit(request)
-                    conn.send(("ok", response.truncated().to_dict()))
-            except Exception as error:  # noqa: BLE001 - shipped to the parent
-                conn.send(("error", type(error).__name__, str(error)))
-    finally:
-        session.close()
-        conn.close()
-
-
-def _rebuild_error(type_name: str, message: str) -> Exception:
-    """Reconstruct a worker-side exception for the parent's 500 formatting.
-
-    Builtin exception types round-trip exactly (the HTTP handler formats
-    ``{type name}: {message}`` either way); anything else degrades to a
-    ``RuntimeError`` carrying both.
-    """
-    exc_type = getattr(builtins, type_name, None)
-    if isinstance(exc_type, type) and issubclass(exc_type, Exception):
-        return exc_type(message)
-    return RuntimeError(f"{type_name}: {message}")
-
-
-class _ServingWorker:
-    """One serving worker process plus the parent end of its request pipe.
-
-    A worker answers exactly one request at a time (the server's idle-queue
-    checkout discipline guarantees exclusive pipe access).  A broken pipe
-    marks the worker :attr:`dead`; the server swaps in a replacement on
-    check-in.
-    """
-
-    def __init__(self, descriptor, weights, cache_size: int) -> None:
-        parent_end, child_end = multiprocessing.Pipe()
-        self._conn = parent_end
-        # Not a daemon: requests carrying ``workers > 1`` fan out *inside*
-        # the worker through the engine's own process pools, and daemonic
-        # processes may not have children.  Orphaning is still bounded — a
-        # worker blocks in ``recv()`` and exits on EOF when the parent end
-        # of the pipe goes away, engine teardown included.
-        self._process = multiprocessing.Process(
-            target=_serving_worker_main,
-            args=(child_end, descriptor, weights, cache_size),
-            name="repro-serve-worker",
+    if not _served:
+        engine = D3L(
+            config=view.config,
+            embedding_model=view.embedding_model,
+            subject_classifier=view.subject_classifier,
         )
-        self._process.start()
-        # The child holds its own copy; closing the parent's reference makes
-        # worker death observable as EOF on the parent end.
-        child_end.close()
-        self.dead = False
+        engine.indexes = view
+        session = DiscoverySession(engine, profile_cache_size=cache_size)
+        # A forked worker skips atexit; multiprocessing runs this at its exit.
+        multiprocessing.util.Finalize(None, session.close, exitpriority=0)
+        _served[:] = [session, view.version]
+    session, version = _served
+    session.engine.weights = weights
+    mutated = view.mutated_tables_since(version)
+    overlaps = session.engine._join_overlap_cache
+    if mutated is None:
+        overlaps.clear()
+    for name in sorted(mutated or ()):
+        overlaps.evict_table(name)
+    _served[1] = view.version
+    return session
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid
 
-    @property
-    def alive(self) -> bool:
-        return not self.dead and self._process.is_alive()
+def _serve_request(view, job) -> Dict[str, object]:
+    """Pool function: the wire payload of one request, answered worker-side."""
+    request, weights, cache_size = job
+    session = _worker_session(view, weights, cache_size)
+    return session.submit(request).truncated().to_dict()
 
-    def _roundtrip(self, message):
-        try:
-            self._conn.send(message)
-            reply = self._conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as error:
-            self.dead = True
-            raise RuntimeError("serving worker process died") from error
-        if reply[0] == "ok":
-            return reply[1]
-        raise _rebuild_error(reply[1], reply[2])
 
-    def query(self, request: QueryRequest, delta) -> Dict[str, object]:
-        """Answer one request worker-side, applying ``delta`` first if any."""
-        return self._roundtrip(("query", request, delta))
-
-    def cache_info(self, delta=None) -> Dict[str, int]:
-        """The worker session's hit/miss/occupancy counters."""
-        return self._roundtrip(("status", None, delta))
-
-    def close(self) -> None:
-        """Stop the worker and join it (idempotent; terminate as backstop)."""
-        if self._process.is_alive() and not self.dead:
-            try:
-                self._conn.send(("stop", None, None))
-            except (BrokenPipeError, OSError):
-                pass
-        self._conn.close()
-        self._process.join(timeout=5)
-        if self._process.is_alive():  # pragma: no cover - unresponsive worker
-            self._process.terminate()
-            self._process.join()
-        self.dead = True
+def _session_cache_info(view, job) -> Dict[str, int]:
+    """Pool function: this worker's session-cache counters."""
+    _, weights, cache_size = job
+    return _worker_session(view, weights, cache_size).cache_info()
 
 
 class _DiscoveryRequestHandler(BaseHTTPRequestHandler):
@@ -418,32 +325,25 @@ class DiscoveryServer:
         #: The serving concurrency width (sessions or worker processes).
         self.worker_count = workers
         self._profile_cache_size = profile_cache_size
+        # Bound before any worker starts: a taken port raises with nothing
+        # left running.
+        self._httpd = _ServingHTTPServer((host, port), self)
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
+        self._lock = threading.Lock()
         #: One caching session per serving worker under the thread backend
         #: (empty under the process backend — sessions live worker-side).
         self.sessions: List[DiscoverySession] = []
         self._idle: "queue.Queue" = queue.Queue()
-        self._workers: List[_ServingWorker] = []
-        # Guards the worker-list membership during crash replacement.
-        self._workers_lock = threading.Lock()
-        # Serialises delta computation, snapshot re-export, and the
-        # drain-all-workers paths (respawn, cache aggregation) so no two of
-        # them compete for the same idle workers.
-        self._state_lock = threading.Lock()
-        self._snapshot = None
-        self._descriptor = None
-        # Version the worker snapshot was exported at — the fixed base every
-        # shipped delta is computed against (workers may sit anywhere between
-        # it and the live version) — plus the cached pending delta.
-        self._base_version: Optional[int] = None
-        self._delta = None
-        self._delta_version: Optional[int] = None
+        self._pool: Optional[WorkerPool] = None
         if backend == "process":
-            self._descriptor, self._snapshot = _snapshot_descriptor(engine.indexes)
-            self._base_version = engine.indexes.version
-            self._workers = [self._spawn_worker() for _ in range(workers)]
-            for worker in self._workers:
-                self._idle.put(worker)
-            register_worker_owner(self)
+            try:
+                self._pool = WorkerPool(
+                    engine.indexes, workers, index_lock=engine.index_lock
+                )
+            except BaseException:
+                self._httpd.server_close()
+                raise
         else:
             self.sessions = [
                 DiscoverySession(engine, profile_cache_size=profile_cache_size)
@@ -451,10 +351,6 @@ class DiscoveryServer:
             ]
             for session in self.sessions:
                 self._idle.put(session)
-        self._httpd = _ServingHTTPServer((host, port), self)
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # addressing
@@ -468,119 +364,28 @@ class DiscoveryServer:
         """The bound port (useful with ``port=0`` — bind to a free one)."""
         return self._httpd.server_address[1]
 
-    # ------------------------------------------------------------------ #
-    # process-backend plumbing
-    # ------------------------------------------------------------------ #
-    def _spawn_worker(self) -> _ServingWorker:
-        """One fresh worker over the current snapshot (ownership → caller)."""
-        return _ServingWorker(
-            self._descriptor, self.engine.weights, self._profile_cache_size
-        )
-
     def worker_pids(self) -> Set[int]:
-        """PIDs of live serving worker processes (leak-audit accounting)."""
-        with self._workers_lock:
-            return {
-                worker.pid
-                for worker in self._workers
-                if worker.pid is not None and worker._process.is_alive()
-            }
-
-    def _pending_delta(self):
-        """The delta bringing snapshot-based workers up to the live indexes.
-
-        None when workers are current.  Computed once per index version
-        against the fixed snapshot base (so it is valid for a worker at any
-        intermediate state) and cached until the next mutation.  When the
-        journal cannot reconstruct the mutation set (or too many tables
-        moved), the worker fleet is respawned over a fresh snapshot instead
-        — the same self-heal the fan-out pools perform.
-        """
-        from repro.core.shared import build_index_delta
-
-        with self._state_lock, self.engine.index_lock.read():
-            version = self.engine.indexes.version
-            if version == self._base_version:
-                return None
-            if self._delta_version != version:
-                delta = build_index_delta(
-                    self.engine.indexes,
-                    self._base_version,
-                    max_tables=_DELTA_MAX_TABLES,
-                )
-                if delta is None:
-                    self._respawn_workers_locked()
-                    return None
-                self._delta = delta
-                self._delta_version = version
-            return self._delta
-
-    def _respawn_workers_locked(self) -> None:
-        """Replace every worker with one over a fresh snapshot (holding
-        ``_state_lock``).  Draining the idle queue waits for in-flight
-        requests to check their workers back in."""
-        drained = [self._idle.get() for _ in range(self.worker_count)]
-        for worker in drained:
-            worker.close()
-        if self._snapshot is not None:
-            self._snapshot.close()
-        self._descriptor, self._snapshot = _snapshot_descriptor(self.engine.indexes)
-        self._base_version = self.engine.indexes.version
-        self._delta = None
-        self._delta_version = None
-        with self._workers_lock:
-            self._workers = [self._spawn_worker() for _ in range(self.worker_count)]
-            fresh = list(self._workers)
-        for worker in fresh:
-            self._idle.put(worker)
-
-    def _replace_dead_worker(self, dead: _ServingWorker) -> _ServingWorker:
-        """Swap a crashed worker for a fresh one over the current snapshot."""
-        dead.close()
-        with self._workers_lock:
-            if self._closed:
-                return dead
-            try:
-                replacement = self._spawn_worker()
-            except Exception:  # pragma: no cover - spawn raced the teardown
-                return dead
-            if dead in self._workers:
-                self._workers.remove(dead)
-            self._workers.append(replacement)
-            return replacement
-
-    def _worker_cache_stats(self) -> Dict[str, int]:
-        """Aggregated worker-side session-cache counters (process backend).
-
-        Checks out the whole fleet (briefly blocking new queries behind the
-        state lock) so every worker is counted exactly once.
-        """
-        cache = {"hits": 0, "misses": 0, "size": 0, "capacity": 0}
-        with self._state_lock, tracked_scope("discovery-server.session-pool"):
-            workers = [self._idle.get() for _ in range(self.worker_count)]
-            try:
-                for worker in workers:
-                    try:
-                        info = worker.cache_info()
-                    except Exception:  # noqa: BLE001 - dead worker counts as empty
-                        continue
-                    for key in cache:
-                        cache[key] += info[key]
-            finally:
-                for worker in workers:
-                    self._idle.put(worker)
-        return cache
+        """PIDs of the live worker processes (process backend; leak audit)."""
+        return self._pool.worker_pids() if self._pool is not None else set()
 
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
+    def _job(self, request: Optional[QueryRequest]) -> tuple:
+        return (request, self.engine.weights, self._profile_cache_size)
+
     def status_payload(self) -> Dict[str, object]:
         """The ``GET /index-status`` payload for this server's backend."""
         payload = index_status(self.engine, self.sessions)
         payload["backend"] = self.backend
-        if self.backend == "process":
+        if self._pool is not None:
+            # One job per worker: the map deals one to each.
+            jobs = [self._job(None)] * self.worker_count
+            infos = self._pool.map(_session_cache_info, jobs)
             payload["workers"] = self.worker_count
-            payload["cache"] = self._worker_cache_stats()
+            payload["cache"] = {
+                key: sum(info[key] for info in infos) for key in payload["cache"]
+            }
         return payload
 
     def submit(self, request: QueryRequest) -> Dict[str, object]:
@@ -591,21 +396,13 @@ class DiscoveryServer:
         so HTTP handlers and in-process callers serve byte-identical answers
         under either backend.
         """
-        if self.backend == "process":
-            delta = self._pending_delta()
-            with tracked_scope("discovery-server.session-pool"):
-                worker = self._idle.get()
-                try:
-                    return worker.query(request, delta)
-                finally:
-                    if worker.dead:
-                        worker = self._replace_dead_worker(worker)
-                    self._idle.put(worker)
         # Under REPRO_SANITIZE=1 the tracker flags a handler that tries to
-        # check out a second session while holding one (a deadlock once the
-        # bounded pool is exhausted) and any inverted nesting against the
-        # server state lock; otherwise this is a no-op context.
+        # check out a second session or worker while holding one (a deadlock
+        # once the bounded pool is exhausted) and any inverted nesting
+        # against the server state lock; otherwise this is a no-op context.
         with tracked_scope("discovery-server.session-pool"):
+            if self._pool is not None:
+                return self._pool.run(_serve_request, self._job(request))
             session = self._idle.get()
             try:
                 response = session.submit(request)
@@ -682,15 +479,8 @@ class DiscoveryServer:
         self._httpd.server_close()
         for session in self.sessions:
             session.close()
-        with self._workers_lock:
-            workers = list(self._workers)
-            self._workers = []
-        for worker in workers:
-            worker.close()
-        if self._snapshot is not None:
-            self._snapshot.close()
-            self._snapshot = None
-        if self.backend == "process":
+        if self._pool is not None:
+            self._pool.close()
             # Thread-backend sessions reap the engine through session.close();
             # mirror that here so a served engine never strands fan-out pools.
             self.engine.close()

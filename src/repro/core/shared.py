@@ -21,10 +21,10 @@ into a named segment and workers attach by name:
   buffer — no array data is copied or pickled; only the manifest is
   unpickled once per process.
 
-Lifecycle: the creator (a fan-out executor, owned by ``D3L`` /
-``DiscoverySession``) holds the snapshot for the life of its worker pool and
-releases the segment via :meth:`close` when the pool is shut down or the
-index version bumps; a ``weakref.finalize`` backstop releases it when the
+Lifecycle: the creator (a :class:`~repro.core.execution.WorkerPool`, for
+fan-out or for ``repro serve --backend process``) holds the snapshot for the
+life of its workers and releases the segment via :meth:`close` when the pool
+is shut down or re-exports; a ``weakref.finalize`` backstop releases it when the
 snapshot is dropped without an explicit close, so abandoned engines cannot
 leak ``/dev/shm`` segments.  Attached mappings in live workers stay valid
 after the unlink (POSIX semantics; the file backing behaves the same way).
@@ -65,7 +65,7 @@ _ALIGNMENT = 64
 #: Segment header: one little-endian uint64 holding the manifest pickle size.
 _HEADER = struct.Struct("<Q")
 
-#: Descriptor shipped through pool initializers: ``(kind, locator)`` where
+#: Descriptor every worker process attaches: ``(kind, locator)`` where
 #: kind is ``"shm"`` (segment name), ``"file"`` (mmap fallback path), or
 #: ``"pickle"`` (degraded: the locator *is* the pickled index, shipped the
 #: pre-snapshot way when no shared backing could be created).
@@ -196,7 +196,7 @@ class SharedIndexSnapshot:
     """One read-only export of a ``D3LIndexes`` that workers attach by name.
 
     Create with :meth:`create` (the owner side), ship :attr:`descriptor`
-    through a pool initializer, and call :meth:`attach` in each worker.  The
+    to each worker process, and call :meth:`attach` in each worker.  The
     owner must :meth:`close` the snapshot when its pool is torn down or the
     index mutates; dropping the object without closing triggers the
     ``weakref.finalize`` backstop.
@@ -358,7 +358,7 @@ class SharedIndexSnapshot:
         return self._descriptor
 
     def shipped_bytes(self) -> int:
-        """Bytes actually serialized into a pool initializer per worker."""
+        """Bytes of the descriptor shipped to each worker."""
         return len(pickle.dumps(self._descriptor, protocol=pickle.HIGHEST_PROTOCOL))
 
     @property
@@ -506,7 +506,7 @@ def apply_index_delta(indexes: "D3LIndexes", delta: IndexDelta) -> None:
     """Apply a :func:`build_index_delta` result to a (possibly shared) index.
 
     No-op when ``indexes`` already reached the target version, so shipping
-    the same delta with every task payload is safe — each worker applies it
+    the same delta with every message is safe — each worker applies it
     exactly once.  Mutating an attached snapshot copies only the touched
     arrays (copy-on-write in :class:`~repro.core.indexes.SignatureMatrix` and
     the forest rebuild path); the shared base segment stays untouched.

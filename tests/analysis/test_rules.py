@@ -482,6 +482,51 @@ class TestR3Lifecycle:
         )
         assert violations == []
 
+    @pytest.mark.parametrize("factory", ["WorkerPool", "ProcessWorker"])
+    def test_unscoped_worker_pool_or_worker_fires(self, tmp_path, factory):
+        violations = check_tree(
+            tmp_path,
+            {
+                "core/server.py": f"""
+                from repro.core.execution import {factory}
+
+                def replace(workers, slot, descriptor):
+                    fresh = {factory}(descriptor)
+                    workers[slot] = fresh
+                """
+            },
+        )
+        assert codes_of(violations) == ["R3"]
+        assert f"{factory}(...)" in violations[0].message
+
+    @pytest.mark.parametrize("factory", ["WorkerPool", "ProcessWorker"])
+    def test_scoped_worker_pool_or_worker_is_clean(self, tmp_path, factory):
+        violations = check_tree(
+            tmp_path,
+            {
+                "core/execution.py": f"""
+                def spawn(descriptor):
+                    fresh = {factory}(descriptor)
+                    return fresh
+
+                def run_one(descriptor):
+                    worker = {factory}(descriptor)
+                    try:
+                        return worker.run(print, None)
+                    finally:
+                        worker.close()
+
+                class Owner:
+                    def __init__(self, descriptor):
+                        self._worker = {factory}(descriptor)
+
+                    def close(self):
+                        self._worker.close()
+                """
+            },
+        )
+        assert violations == []
+
 
 class TestR4WireParity:
     _MODULE = """

@@ -400,8 +400,48 @@ class TestServeCommand:
                 ["serve", "--engine", "e.pkl", "--backend", "quantum"]
             )
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_serve_on_a_taken_port_exits_1(self, indexed_engine_path, backend):
+        """The port is bound before any worker starts, so a taken port ends
+        the command at once, with nothing left running."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            command = [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--engine", str(indexed_engine_path), "--backend", backend,
+                "--workers", "2", "--port", str(taken.getsockname()[1]),
+            ]
+            serve = subprocess.Popen(
+                command,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+            )
+            try:
+                _, stderr = serve.communicate(timeout=20)
+            except subprocess.TimeoutExpired:
+                os.killpg(serve.pid, signal.SIGKILL)  # the CLI and its workers
+                serve.communicate()
+                pytest.fail(f"repro serve --backend {backend} on a taken port never exited")
+        assert serve.returncode == 1
+        assert "Address already in use" in stderr
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_serve_answers_query_and_shuts_down_cleanly(
-        self, indexed_engine_path, tmp_path, capsys
+        self, indexed_engine_path, tmp_path, capsys, backend
     ):
         """The tiny-lake serving smoke: start, one query over HTTP, SIGINT,
         clean exit — leak-freedom enforced by the autouse fixture."""
@@ -475,6 +515,8 @@ class TestServeCommand:
                 str(port),
                 "--workers",
                 "2",
+                "--backend",
+                backend,
             ]
         )
         thread.join(timeout=30)

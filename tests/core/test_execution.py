@@ -9,9 +9,17 @@ protocol, the SA-join verification kernel, and the raw ``map_shards``
 surface.  The index lock's writer preference is checked last.
 """
 
+import glob
 import itertools
+import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +39,38 @@ from repro.datagen.synthetic_benchmark import (
 
 POOLED_BACKENDS = ("thread", "process")
 
+ROOT = Path(__file__).resolve().parents[2]
+
 
 def _double_shard(indexes, payload):
     """Module-level shard fn so process workers can unpickle it."""
     return [value * 2 for value in payload]
+
+
+class _Unpicklable(Exception):
+    def __init__(self, value):
+        super().__init__(f"bad payload {value}")
+        self.hook = lambda: value  # a lambda attribute: does not pickle
+
+
+def _die_once_shard(indexes, payload):
+    """Shard fn that kills its own worker mid-message on the first call for
+    value 0 (the marker file in the payload records that call)."""
+    marker, value = payload
+    if value == 0 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
+def _fail_shard(indexes, payload):
+    """Shard fn: ``[2]`` raises an exception, ``[3]`` one that does not
+    pickle, anything else passes through."""
+    if payload == [2]:
+        raise ValueError("bad payload 2")
+    if payload == [3]:
+        raise _Unpicklable(3)
+    return payload
 
 
 def _tiny_config():
@@ -167,6 +203,159 @@ class TestJoinVerificationBackends:
         finally:
             serial.close()
             pooled.close()
+
+
+def _running(pids):
+    """The pids that are still running (a zombie counts as gone)."""
+    running = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if state not in ("Z", "X"):
+            running.append(pid)
+    return running
+
+
+def _segments(prefix):
+    return glob.glob(f"/dev/shm/{prefix}*") + glob.glob(
+        os.path.join(tempfile.gettempdir(), f"{prefix}*")
+    )
+
+
+_ORPHANING_PARENT = """
+import json, os, sys, time
+from repro.core.config import D3LConfig
+from repro.core.discovery import D3L
+from repro.core.execution import create_backend
+from repro.core.server import DiscoveryServer
+from repro.datagen.synthetic_benchmark import (
+    SyntheticBenchmarkConfig, generate_synthetic_benchmark)
+
+corpus = generate_synthetic_benchmark(SyntheticBenchmarkConfig(
+    num_base_tables=2, tables_per_base=2, base_rows=30, min_rows=20, max_rows=25,
+    seed=5))
+engine = D3L(config=D3LConfig(
+    num_hashes=64, num_trees=8, min_candidates=20, embedding_dimension=16))
+engine.index_lake(corpus.lake)
+backend = create_backend("process", engine.indexes, 2)
+refs = sorted(engine.indexes.profiles)[:4]
+backend.verify_overlaps([(refs[0], refs[1]), (refs[2], refs[3])])
+server = DiscoveryServer(engine, port=0, workers=2, backend="process")
+with open(sys.argv[1] + ".part", "w") as handle:
+    json.dump(sorted(backend.worker_pids() | server.worker_pids()), handle)
+os.rename(sys.argv[1] + ".part", sys.argv[1])
+time.sleep(120)
+"""
+
+
+class TestProcessWorkers:
+    """The one process runtime under concurrency, crashes and a dead parent."""
+
+    def test_concurrent_maps_on_one_backend_all_answer(self, engine):
+        # More mapping threads than workers, switching threads often.
+        payloads = [[index, index + 1] for index in range(6)]
+        expected = [_double_shard(None, payload) for payload in payloads]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with create_backend("process", engine.indexes, 2) as backend:
+
+                def mapper(name):
+                    results[name] = [
+                        backend.map_shards(_double_shard, payloads) for _ in range(5)
+                    ]
+
+                threads = [threading.Thread(target=mapper, args=(n,)) for n in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(t.is_alive() for t in threads), "maps deadlocked"
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {name: [expected] * 5 for name in range(4)}
+
+    def test_a_worker_dying_mid_message_is_replaced_and_sent_it_again(
+        self, engine, tmp_path
+    ):
+        marker = str(tmp_path / "died")
+        with create_backend("process", engine.indexes, 2) as backend:
+            assert backend.map_shards(_double_shard, [[1], [2]]) == [[2], [4]]
+            pids = backend.worker_pids()
+            payloads = [(marker, value) for value in range(4)]
+            assert backend.map_shards(_die_once_shard, payloads) == [0, 1, 2, 3]
+            assert os.path.exists(marker)
+            after = backend.worker_pids()
+            assert len(after) == 2
+            assert len(after & pids) == 1  # exactly one worker was replaced
+
+    def test_a_killed_worker_is_replaced_and_the_map_answers(self, engine):
+        payloads = [[1], [2], [3]]
+        expected = [_double_shard(None, payload) for payload in payloads]
+        with create_backend("process", engine.indexes, 2) as backend:
+            assert backend.map_shards(_double_shard, payloads) == expected
+            victim = min(backend.worker_pids())
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 5
+            while victim in backend.worker_pids():
+                assert time.monotonic() < deadline, "the worker never died"
+                time.sleep(0.01)
+            assert backend.map_shards(_double_shard, payloads) == expected
+            assert victim not in backend.worker_pids()
+            assert len(backend.worker_pids()) == 2
+
+    def test_worker_exceptions_are_raised_as_raised(self, engine):
+        with create_backend("process", engine.indexes, 2) as backend:
+            assert backend.map_shards(_fail_shard, [[1], [4]]) == [[1], [4]]
+            pids = backend.worker_pids()
+            with pytest.raises(ValueError, match="bad payload 2"):
+                backend.map_shards(_fail_shard, [[1], [2]])
+            with pytest.raises(RuntimeError, match="_Unpicklable: bad payload 3"):
+                backend.map_shards(_fail_shard, [[1], [3]])
+            # A worker-side exception leaves its worker running.
+            assert backend.map_shards(_double_shard, [[1], [2]]) == [[2], [4]]
+            assert backend.worker_pids() == pids
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_workers_and_segments_go_when_their_parent_is_killed(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        ready = tmp_path / "pids.json"
+        with open(tmp_path / "stderr.txt", "w") as stderr:
+            parent = subprocess.Popen(
+                [sys.executable, "-c", _ORPHANING_PARENT, str(ready)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+            )
+        pids = []
+        try:
+            deadline = time.monotonic() + 120
+            while not ready.exists() and parent.poll() is None:
+                assert time.monotonic() < deadline, "the parent never started"
+                time.sleep(0.05)
+            assert ready.exists(), (tmp_path / "stderr.txt").read_text()
+            pids = json.loads(ready.read_text())
+            assert len(pids) == 4
+        finally:
+            parent.kill()
+            parent.wait()
+        prefix = f"d3l_snap_{parent.pid:x}_"
+        try:
+            deadline = time.monotonic() + 5
+            while (_running(pids) or _segments(prefix)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _running(pids) == []
+            assert _segments(prefix) == []
+        finally:
+            for pid in _running(pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestRequestBackendField:

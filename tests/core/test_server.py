@@ -8,8 +8,11 @@ segments and child processes around every test).
 
 import http.client
 import json
+import os
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -449,6 +452,74 @@ class TestProcessBackendEquivalence:
         # Small mutations refresh live workers via journal deltas — the
         # worker fleet must not have been respawned.
         assert sorted(process_server.worker_pids()) == pids_before
+
+
+class TestWorkerCrash:
+    def test_a_killed_worker_is_replaced_and_its_request_retried(
+        self, process_server, small_synthetic_benchmark
+    ):
+        request = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=5)
+        expected = _oracle_payload(process_server.engine, request)
+        victim = min(process_server.worker_pids())
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while victim in process_server.worker_pids():
+            assert time.monotonic() < deadline, "the worker never died"
+            time.sleep(0.01)
+        # Sequential submits take the workers in turn: one lands on the dead
+        # worker, whose replacement answers it.
+        for _ in range(2 * process_server.worker_count):
+            assert process_server.submit(request) == expected
+        pids = process_server.worker_pids()
+        assert victim not in pids
+        assert len(pids) == process_server.worker_count
+
+
+class TestReExportUnderLoad:
+    def test_writes_past_the_journal_window_restart_the_workers_under_load(
+        self, process_server, small_synthetic_benchmark
+    ):
+        """When the journal cannot describe the writes since the snapshot,
+        the pool re-exports and restarts its workers while submits and
+        status calls keep arriving; none of them fails or deadlocks."""
+        engine = process_server.engine
+        steady = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=3)
+        extra = small_synthetic_benchmark.lake.tables[10].with_name("reexport_extra")
+        stop = threading.Event()
+        errors = []
+
+        def loop(call):
+            while not stop.is_set():
+                try:
+                    call()
+                except Exception as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+                    return
+
+        threads = [
+            threading.Thread(target=loop, args=(lambda: process_server.submit(steady),)),
+            threading.Thread(target=loop, args=(lambda: process_server.submit(steady),)),
+            threading.Thread(target=loop, args=(process_server.status_payload,)),
+        ]
+        pids_before = process_server.worker_pids()
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(40):  # 80 journal entries: past its 64-entry window
+                engine.index_table(extra)
+                engine.remove_table(extra.name)
+            engine.index_table(extra)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads), "the pool deadlocked"
+        assert not errors
+        probe = QueryRequest(target=extra, k=5, exclude_self=False)
+        assert process_server.submit(probe) == _oracle_payload(engine, probe)
+        pids = process_server.worker_pids()
+        assert len(pids) == process_server.worker_count
+        assert pids.isdisjoint(pids_before)
 
 
 class TestWorkerCacheAcrossWrites:

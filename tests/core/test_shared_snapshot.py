@@ -226,13 +226,14 @@ class TestLifecycle:
             # current version from the snapshot's fixed base.
             assert executor.snapshot is first
             assert not first.closed
-            assert backend._delta is not None
-            assert backend._delta[0] == engine.indexes.version
-            assert [op[:2] for op in backend._delta[1]] == [
+            pool = backend._pool
+            assert pool._delta is not None
+            assert pool._delta[0] == engine.indexes.version
+            assert [op[:2] for op in pool._delta[1]] == [
                 ("upsert", "version_bump_extra")
             ]
-            assert backend._pool_version == engine.indexes.version
-            assert backend._snapshot_version == first.version
+            assert pool._delta_version == engine.indexes.version
+            assert pool._snapshot_version == first.version
         finally:
             executor.close()
 
