@@ -1122,7 +1122,9 @@ class DiscoverySession:
         for column in target.columns:
             digest.update(b"\x00")
             digest.update(column.name.encode("utf-8", "surrogatepass"))
-            for value in column.values:
-                digest.update(b"\x1f")
-                digest.update(repr(value).encode("utf-8", "surrogatepass"))
+            # One update per column: "\x1f" + repr(value) for every cell, the
+            # same bytes as hashing the cells one at a time.
+            if column.values:
+                cells = "\x1f" + "\x1f".join(map(repr, column.values))
+                digest.update(cells.encode("utf-8", "surrogatepass"))
         return ("table", digest.hexdigest())

@@ -16,9 +16,8 @@ prescribes, vectorized with NumPy:
   with a parallel ``int32`` array of item ids, kept in lexicographic order;
 * the lexicographic order is materialised once per (re)build as a 1D array of
   big-endian byte *rank keys* (a NumPy void dtype of ``key_length * 8``
-  bytes), so a prefix range is two O(log n) ``np.searchsorted`` lookups
-  instead of the seed implementation's O(n) rebuild of a Python key list on
-  every call;
+  bytes), so finding where a whole key sorts is one O(log n)
+  ``np.searchsorted``;
 * inserts are buffered and merged with one stable vectorized sort on the
   next query (amortised O(log n) per insert for the usual build-then-query
   workload);
@@ -26,6 +25,16 @@ prescribes, vectorized with NumPy:
   rebuilding the rank keys — once more than half of its rows are dead, so
   remove costs O(log n) amortised and queries never scan dead entries
   outside a compaction cycle.
+
+A tree's *block table* (:func:`_block_table`), derived from the prefix
+each row shares with the row before it, holds the bounds of every run of
+two or more rows sharing a prefix as sorted ``(prefix length, row)`` codes,
+one at each end of a block per prefix length it spans (1.1k–4.6k codes per
+tree of ~1k rows on the benchmark lake, where duplicate keys are common;
+far fewer for distinct keys).  The forest keeps its trees' block tables and item ids end to end
+(:class:`_Joined`), so that one call searches or gathers across every tree.
+They are derived again by the first descent after a tree merges, compacts
+or is imported (each replaces the tree's item array), and never persisted.
 
 Items are kept as dense ``int32`` ids from an :class:`ItemIds` registry,
 which a caller may share between several forests and its own arrays (as
@@ -37,13 +46,21 @@ which order ids as their items order, so no Python comparison of items runs
 in a rebuild.
 
 One descent serves :meth:`LSHForest.query`, :meth:`~LSHForest.query_all`
-and :meth:`~LSHForest.multi_query`.  Per tree, one ``searchsorted`` pair
-finds the row range of every prefix length of every query at once.  Because
-the range of a shorter prefix always contains the longer-prefix range, the
-rows a (prefix length, tree) step newly exposes are the difference of two
-nested ranges; their counts come out as one array, and Python walks only the
-non-empty steps of each query until it holds ``k`` distinct ids — so a
-batch returns, element for element, what one-query descents return.
+and :meth:`~LSHForest.multi_query`, as array operations over every query
+and tree of a batch.  Its ranges half finds, per tree, each query's
+insertion point ``pos`` with one whole-key search.  A prefix longer than
+either neighbour of ``pos`` shares with the query matches no row; any other
+prefix's rows are the run holding the neighbour sharing more, which one
+search of the joined block tables finds for every (query, tree, prefix
+length) at once.  Because the range of a shorter prefix always contains the
+longer-prefix range, the rows a (prefix length, tree) step newly exposes
+are the difference of two nested ranges.  Its walk half expands only the
+steps that can hold a query's first ``k`` distinct ids — a tree's rows hold
+distinct ids, so they are reached by the first step at which one tree has
+reached ``k`` rows, unless some are dead or excluded, and a query left short
+walks again needing twice as many — keeps each id's first row, and cuts
+after the ``k``-th id (after its step for a kept walk).  So a batch
+returns, element for element, what one-query descents return.
 
 Walk order
 ----------
@@ -66,8 +83,6 @@ up to date after inserts and removals.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
-from itertools import islice
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,18 +96,13 @@ import numpy as np
 #: takes it.
 _FLUSH_LOCK = threading.Lock()
 
-#: Fill value for the upper bound of a prefix range.  Signature values are at
-#: most 32 bits, so the all-ones 64-bit pattern is strictly larger than any
-#: real key suffix.
-_KEY_MAX = np.uint64(np.iinfo(np.uint64).max)
-
 #: A tree compacts when it holds more than this many tombstones *and* they
 #: outnumber the live rows.
 _MIN_TOMBSTONES_BEFORE_COMPACTION = 16
 
-#: ``multi_query`` descends this many queries at a time, so the prefix
-#: bounds it materialises (``block * key_length**2`` keys per tree) stay
-#: small however many queries a batch holds.
+#: ``multi_query`` descends this many queries at a time, so the step ranges
+#: and expanded rows it materialises stay small however many queries a
+#: batch holds.
 _DESCENT_BLOCK = 64
 
 
@@ -157,15 +167,68 @@ class Walk(NamedTuple):
     steps: np.ndarray
 
 
+class _TreeState(NamedTuple):
+    """A merged tree's arrays as one descent reads them."""
+
+    keys: np.ndarray
+    ranks: np.ndarray
+    items: np.ndarray
+    #: ``None`` when no row is tombstoned.
+    alive: Optional[np.ndarray]
+
+
+class _Joined(NamedTuple):
+    """Every tree's block table and item ids, end to end, so that one call
+    searches or gathers across all trees: tree ``t``'s codes are shifted by
+    ``block_offsets[t]`` and its rows by ``row_offsets[t]``.  ``sources`` are
+    the trees' item arrays they derive from (a merge or import replaces
+    them)."""
+
+    sources: Tuple[np.ndarray, ...]
+    blocks: np.ndarray
+    block_offsets: np.ndarray
+    items: np.ndarray
+    row_offsets: np.ndarray
+
+
 _NO_IDS = np.empty(0, dtype=np.int32)
 
 
-@lru_cache(maxsize=None)
-def _prefix_mask(key_length: int) -> np.ndarray:
-    """Row ``p - 1`` is True on the first ``p`` positions (prefix selector)."""
-    mask = np.tril(np.ones((key_length, key_length), dtype=bool))
-    mask.setflags(write=False)
-    return mask
+def _concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    ends = counts.cumsum()
+    ranges = np.arange(ends[-1] if len(ends) else 0)
+    ranges += (starts - ends + counts).repeat(counts)
+    return ranges
+
+
+def _block_table(keys: np.ndarray) -> np.ndarray:
+    """Sorted bounds of the blocks of sorted key rows.
+
+    The rows sharing their first ``p`` values form runs; a run of two or
+    more rows is a *block*.  Code ``2 * (p * (n + 1) + row) + 1`` says a
+    block of length-``p`` prefixes starts at ``row``, code
+    ``2 * (p * (n + 1) + row)`` that one ends before ``row``; a leading
+    ``0`` bounds every search.  A row in no block of length ``p`` is a run
+    of one.
+    """
+    rows, key_length = keys.shape
+    # shared[i]: the prefix row i shares with row i - 1 (none before the
+    # first row or after the last).
+    shared = np.zeros(rows + 1, dtype=np.int64)
+    if rows > 1:
+        differ = keys[1:] != keys[:-1]
+        shared[1:-1] = np.where(differ.any(axis=1), differ.argmax(axis=1), key_length)
+    # Between rows i and i + 1 the shared prefix rises (blocks of those
+    # lengths start at row i) or falls (blocks end before row i + 1).
+    rise = np.diff(shared)
+    changed = np.flatnonzero(rise)
+    counts = np.abs(rise[changed])
+    opens = rise[changed] > 0
+    lengths = _concatenated_ranges(np.minimum(shared[changed], shared[changed + 1]) + 1, counts)
+    at = np.repeat(np.where(opens, changed, changed + 1), counts)
+    codes = np.sort(2 * (lengths * (rows + 1) + at) + np.repeat(opens, counts))
+    return np.concatenate(([0], codes))
 
 
 def rank_key_bytes(keys: np.ndarray) -> np.ndarray:
@@ -304,6 +367,11 @@ class _PrefixTree:
                 if self._pending or self._dead:
                     self._rebuild()
 
+    def state(self) -> _TreeState:
+        """The arrays a descent reads, after merging pending inserts."""
+        self._ensure_flushed()
+        return _TreeState(self._keys, self._ranks, self._items, self._alive if self._dead else None)
+
     def export_state(self, copy: bool = True) -> Tuple[np.ndarray, List[Hashable]]:
         """``(keys, items)`` of the compacted tree, in sorted key order.
 
@@ -356,33 +424,6 @@ class _PrefixTree:
         self._pending = []
         self._index_rows()
 
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def prefix_ranges(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Row ranges of every prefix length of many query keys.
-
-        ``keys`` is ``(queries, key_length)``; entry ``[q, p - 1]`` of each
-        returned ``(queries, key_length)`` array bounds the ``[low, high)``
-        rows matching the length-``p`` prefix of query ``q``.  One
-        ``searchsorted`` over all lower bounds and one over all upper bounds
-        replace ``2 * key_length`` scalar searches per query.
-        """
-        self._ensure_flushed()
-        mask = _prefix_mask(self.key_length)
-        lows = np.where(mask, keys[:, np.newaxis, :], np.uint64(0))
-        highs = np.where(mask, keys[:, np.newaxis, :], _KEY_MAX)
-        flat = (-1, self.key_length)
-        low = np.searchsorted(self._ranks, self._rank_keys(lows.reshape(flat)), side="left")
-        high = np.searchsorted(self._ranks, self._rank_keys(highs.reshape(flat)), side="right")
-        return low.reshape(keys.shape), high.reshape(keys.shape)
-
-    def items_between(self, low: int, high: int) -> np.ndarray:
-        """Ids of the live items in rows ``[low, high)``, in key order."""
-        if self._dead:
-            return self._items[low:high][self._alive[low:high]]
-        return self._items[low:high]
-
     def estimated_bytes(self) -> int:
         """Approximate footprint: keys, rank keys, item ids and the row registry."""
         pending = len(self._pending) * (self.key_length * 8 + 8)
@@ -422,6 +463,7 @@ class LSHForest:
         self.ids = ItemIds() if ids is None else ids
         self._trees = [_PrefixTree(self.key_length, self.ids) for _ in range(num_trees)]
         self._signatures: Dict[Hashable, np.ndarray] = {}
+        self._joined: Optional[_Joined] = None
 
     def __len__(self) -> int:
         return len(self._signatures)
@@ -547,56 +589,190 @@ class LSHForest:
         keys = np.array(
             [np.asarray(signatures[index])[:used] for index in populated], dtype=np.uint64
         ).reshape(len(populated), self.num_trees, self.key_length)
-        ranges = [
-            tree.prefix_ranges(keys[:, tree_index])
-            for tree_index, tree in enumerate(self._trees)
-        ]
-        # (queries, trees, key_length); column p - 1 holds prefix length p.
-        low = np.stack([tree_low for tree_low, _ in ranges], axis=1)
-        high = np.stack([tree_high for _, tree_high in ranges], axis=1)
-        # Each step's rows are its range minus the range one level deeper,
-        # which it contains (empty below the full key length).
-        inner_low = np.concatenate((low[:, :, 1:], low[:, :, -1:]), axis=2)
-        inner_high = np.concatenate((high[:, :, 1:], low[:, :, -1:]), axis=2)
-        fresh = (high - low) - (inner_high - inner_low)
-        # Non-empty steps in descent order: query, then longest prefix first,
-        # then tree.
-        query_of, level, tree_of = np.nonzero(fresh[:, :, ::-1].transpose(0, 2, 1))
-        column = self.key_length - 1 - level
-        at = (query_of, tree_of, column)
-        steps = np.stack(
-            (tree_of, low[at], inner_low[at], inner_high[at], high[at]), axis=1
-        ).tolist()
-        ends = np.searchsorted(query_of, np.arange(1, len(populated) + 1)).tolist()
-        step_ids = (level * self.num_trees + tree_of).astype(np.int32) if walks else None
-        start = 0
-        for index, end in zip(populated, ends):
-            # An insertion-ordered dict dedups a step's ids in one C-level
-            # pass.
-            found: Dict[int, None] = {}
-            # Items collected after each step: a walk's steps come from these.
-            counts: Optional[List[int]] = [] if walks else None
-            for tree_index, step_low, skip_low, skip_high, step_high in steps[start:end]:
-                tree = self._trees[tree_index]
-                found.update(dict.fromkeys(tree.items_between(step_low, skip_low).tolist()))
-                found.update(dict.fromkeys(tree.items_between(skip_high, step_high).tolist()))
-                if exclude is not None:
-                    found.pop(exclude, None)
-                if counts is not None:
-                    counts.append(len(found))
-                if len(found) >= k:
-                    break
-            if counts is None:
-                results[index] = np.fromiter(
-                    islice(found, k), dtype=np.int32, count=min(k, len(found))
+        trees = [tree.state() for tree in self._trees]
+        joined = self._joined_tables(trees)
+        low, high = self._step_ranges(trees, joined, keys.transpose(1, 0, 2))
+        for index, found in zip(
+            populated, self._walk(trees, joined, low, high, k, exclude, walks)
+        ):
+            results[index] = found
+        return results
+
+    def _joined_tables(self, trees: List[_TreeState]) -> _Joined:
+        """The trees' :class:`_Joined` tables, derived again after a merge,
+        compaction or import."""
+        joined = self._joined
+        if joined is None or any(
+            source is not tree.items for source, tree in zip(joined.sources, trees)
+        ):
+            sizes = np.array([tree.items.shape[0] for tree in trees])
+            spans = 2 * (self.key_length + 1) * (sizes + 1)
+            offsets = np.cumsum(spans) - spans
+            blocks = np.concatenate(
+                [_block_table(tree.keys) + offset for tree, offset in zip(trees, offsets.tolist())]
+            )
+            joined = self._joined = _Joined(
+                tuple(tree.items for tree in trees),
+                blocks.astype(np.int32 if spans.sum() < 2**31 else np.int64),
+                offsets,
+                np.concatenate([tree.items for tree in trees]),
+                np.cumsum(sizes) - sizes,
+            )
+        return joined
+
+    def _step_ranges(
+        self, trees: List[_TreeState], joined: _Joined, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row range ``[low, high)`` of every (tree, query, prefix length).
+
+        ``keys`` are the queries' keys per tree, ``(num_trees, queries,
+        key_length)``; ``low`` and ``high`` have that shape too, prefix
+        lengths longest first.
+        """
+        num_trees, count, key_length = keys.shape
+        lengths = np.arange(key_length, 0, -1)
+        sizes = np.array([tree.keys.shape[0] for tree in trees])[:, np.newaxis, np.newaxis]
+        ranks = np.ascontiguousarray(keys, dtype=">u8").view(self._trees[0]._rank_dtype)
+        # Where each whole key sorts (``at``), and the rows either side of
+        # it, clamped into the tree.
+        at = np.empty((num_trees, 2, count), dtype=np.int64)
+        for index, tree in enumerate(trees):
+            at[index, 1] = tree.ranks.searchsorted(ranks[index, :, 0])
+        np.subtract(at[:, 1], 1, out=at[:, 0])
+        near = np.minimum(np.maximum(at, 0), sizes - 1)
+        rows = np.empty(near.shape + (key_length,), dtype=np.uint64)
+        for index, tree in enumerate(trees):
+            if sizes[index]:
+                tree.keys.take(near[index], axis=0, out=rows[index])
+            else:
+                rows[index] = ~keys[index]
+        equal = rows == keys[:, np.newaxis]
+        shared = np.where(equal.all(axis=3), key_length, equal.argmin(axis=3))
+        # A prefix longer than either neighbour shares with the query
+        # matches no row: [at, at).  Rows sharing a prefix with the query
+        # share it with each other, so a shorter prefix matches the run
+        # holding the neighbour sharing more (the anchor): the anchor's
+        # block at that length, else the anchor alone.
+        anchor = np.where(shared[:, 1] >= shared[:, 0], near[:, 1], near[:, 0])[..., np.newaxis]
+        base = lengths * (sizes + 1)
+        codes = base + anchor
+        codes *= 2
+        codes += joined.block_offsets[:, np.newaxis, np.newaxis] + 1
+        found = np.empty((2,) + codes.shape, dtype=np.int64)
+        found[1] = joined.blocks.searchsorted(codes.astype(joined.blocks.dtype), side="right")
+        np.subtract(found[1], 1, out=found[0])
+        # The entry before a code opens the anchor's block, and the next one
+        # closes it.
+        found = joined.blocks.take(found, mode="clip") - joined.block_offsets[:, np.newaxis, np.newaxis]
+        block = found[0] & 1
+        found >>= 1
+        found -= base
+        matched = lengths <= shared.max(axis=1)[..., np.newaxis]
+        at = at[:, 1, :, np.newaxis]
+        low = np.where(matched, np.where(block, found[0], anchor), at)
+        high = np.where(matched, np.where(block, found[1], anchor + 1), at)
+        return low, high
+
+    def _walk(
+        self,
+        trees: List[_TreeState],
+        joined: _Joined,
+        low: np.ndarray,
+        high: np.ndarray,
+        k: int,
+        exclude: Optional[int],
+        walks: bool,
+    ) -> List:
+        """Each query's answer (its :class:`Walk` with ``walks``) from the
+        ranges of :meth:`_step_ranges`."""
+        num_trees, count, key_length = low.shape
+        steps = self.step_count
+        # A step newly exposes its range minus the range one level deeper,
+        # which it contains (empty at the full key length): rows
+        # [low, inner_low), then [inner_high, high) — two runs per step.
+        starts = np.empty((num_trees, count, key_length, 2), dtype=np.int64)
+        starts[..., 0] = low
+        starts[..., 0, 1] = low[..., 0]
+        starts[..., 1:, 1] = high[..., :-1]
+        runs = np.empty_like(starts)
+        runs[..., 0, 0] = 0
+        np.subtract(low[..., :-1], low[..., 1:], out=runs[..., 1:, 0])
+        np.subtract(high, starts[..., 1], out=runs[..., 1])
+        # The non-empty runs, with their rows in the joined item ids.
+        cells = runs.ravel().nonzero()[0]
+        run_rows = runs.ravel()[cells]
+        tree_queries, halves = np.divmod(cells, key_length * 2)
+        run_trees, run_queries = np.divmod(tree_queries, count)
+        run_starts = starts.ravel()[cells] + joined.row_offsets[run_trees]
+        run_steps = (halves >> 1) * num_trees + run_trees
+        alive = None
+        if any(tree.alive is not None for tree in trees):
+            alive = np.concatenate([
+                np.ones(tree.items.shape[0], dtype=bool) if tree.alive is None else tree.alive
+                for tree in trees
+            ])
+        width = len(self.ids)
+        span = joined.items.shape[0] + 1
+        # No query holds more than ``width`` ids, so a larger k answers alike.
+        k = min(k, width + 1)
+        # A tree's rows hold distinct ids, so a query has k of them by the
+        # first step at which one tree has reached k rows — unless some are
+        # dead or excluded: then it walks again, needing twice as many.
+        widths = high - low
+        trees_column = np.arange(num_trees)[:, np.newaxis]
+        # The step of each query's last run.
+        final = np.full(count, -1)
+        np.maximum.at(final, run_queries, run_steps)
+        needed = np.full(count, k)
+        results: List = [None] * count
+        walking = np.ones(count, dtype=bool)
+        while walking.any():
+            reach = (widths < needed[:, np.newaxis]).sum(axis=2) * num_trees + trees_column
+            last = np.minimum(reach.min(axis=0), steps - 1)
+            exhausted = last >= final
+            chosen = (run_steps <= np.where(walking, last, -1)[run_queries]).nonzero()[0]
+            lengths = run_rows[chosen]
+            rows = _concatenated_ranges(run_starts[chosen], lengths)
+            ids = joined.items.take(rows)
+            # Sort keys: (query, id, step) finds each id's first step,
+            # (query, step, row) is walk order.
+            query_steps = run_queries[chosen] * steps + run_steps[chosen]
+            pairs = ids * np.int64(steps)
+            pairs += (query_steps + run_queries[chosen] * ((width - 1) * steps)).repeat(lengths)
+            order = (query_steps * span).repeat(lengths)
+            order += rows
+            live = None if alive is None else alive.take(rows)
+            if exclude is not None:
+                live = (ids != exclude) if live is None else live & (ids != exclude)
+            if live is not None:
+                pairs, order = pairs[live], order[live]
+            ranked = pairs.argsort()
+            pair = pairs[ranked] // steps
+            first = np.empty(pair.shape[0], dtype=bool)
+            first[:1] = True
+            np.not_equal(pair[1:], pair[:-1], out=first[1:])
+            first = ranked[first]
+            query_of, pairs = np.divmod(pairs[first[order[first].argsort()]], width * steps)
+            ids, step_of = np.divmod(pairs, steps)
+            ids, step_of = ids.astype(np.int32), step_of.astype(np.int32)
+            found = np.bincount(query_of, minlength=count)
+            offsets = found.cumsum() - found
+            enough = found >= k
+            if walks:
+                # Through the step of each query's k-th id.
+                cut = np.full(count, steps)
+                cut[enough] = step_of[offsets[enough] + k - 1]
+                stops = (query_of * (steps + 1) + step_of).searchsorted(
+                    np.arange(count) * (steps + 1) + cut, side="right"
                 )
             else:
-                fresh_counts = np.diff(np.asarray(counts, dtype=np.intp), prepend=0)
-                results[index] = Walk(
-                    np.fromiter(found, dtype=np.int32, count=len(found)),
-                    np.repeat(step_ids[start : start + len(counts)], fresh_counts),
-                )
-            start = end
+                stops = offsets + np.minimum(found, k)
+            done = walking & (enough | exhausted)
+            for query in done.nonzero()[0].tolist():
+                part = slice(offsets[query], stops[query])
+                results[query] = Walk(ids[part], step_of[part]) if walks else ids[part]
+            walking &= ~done
+            needed *= 2
         return results
 
     # ------------------------------------------------------------------ #
@@ -792,7 +968,10 @@ class LSHForest:
             )
 
     def estimated_bytes(self) -> int:
-        """Approximate memory footprint (signatures plus tree entries)."""
+        """Approximate memory footprint (signatures, tree entries and the
+        joined tables)."""
         signature_bytes = sum(sig.nbytes for sig in self._signatures.values())
         tree_bytes = sum(tree.estimated_bytes() for tree in self._trees)
-        return int(signature_bytes + tree_bytes)
+        joined = self._joined
+        joined_bytes = 0 if joined is None else joined.blocks.nbytes + joined.items.nbytes
+        return int(signature_bytes + tree_bytes + joined_bytes)

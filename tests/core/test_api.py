@@ -8,6 +8,7 @@ changes an answer.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core.evidence import EvidenceType
 from repro.core.joins import JoinPathTree
 from repro.core.persistence import PersistenceError, load_session, save_session
 from repro.core.weights import EvidenceWeights
+from repro.tables.column import Column
 from repro.tables.table import Table
 
 
@@ -374,6 +376,52 @@ class TestSessionCacheLifecycle:
         session.submit(QueryRequest(target=profile, k=2))
         session.submit(QueryRequest(target=profile, k=2))
         assert session.cache_info()["hits"] == 1
+
+
+def _per_cell_fingerprint(target):
+    """The session cache key hashed one cell at a time (the reference)."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(target.name.encode("utf-8", "surrogatepass"))
+    for column in target.columns:
+        digest.update(b"\x00")
+        digest.update(column.name.encode("utf-8", "surrogatepass"))
+        for value in column.values:
+            digest.update(b"\x1f")
+            digest.update(repr(value).encode("utf-8", "surrogatepass"))
+    return ("table", digest.hexdigest())
+
+
+class _Surrogate:
+    """A value whose repr holds lone surrogates, which repr of a str escapes."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+class TestSessionCacheKey:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [Column("städte", ["Zürich", "東京", "naïve — ok", ""])],
+            [Column("raw", [_Surrogate("\ud800"), _Surrogate("x\udfff"), "\ud83d", "a"])],
+            [Column("pair", [_Surrogate("\ud83d"), _Surrogate("\ude00")])],
+            [Column("mixed", [None, 0, -7, 2**70, 1.5, float("nan"), True, "1"])],
+            [Column("a", []), Column("b", []), Column("c", [])],
+            [Column("only", [])],
+        ],
+        ids=["non-ascii", "surrogates", "split-pair", "scalars", "empty-table", "one-empty"],
+    )
+    def test_key_equals_the_per_cell_formula(self, columns):
+        target = Table("tæble", columns)
+        assert DiscoverySession._fingerprint(target) == _per_cell_fingerprint(target)
+
+    def test_cells_do_not_run_into_each_other(self):
+        joined = Table("t", [Column("c", ["ab", "c"])])
+        split = Table("t", [Column("c", ["a", "bc"])])
+        assert DiscoverySession._fingerprint(joined) != DiscoverySession._fingerprint(split)
 
 
 class TestSessionPersistence:

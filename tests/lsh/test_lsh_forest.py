@@ -244,8 +244,12 @@ class TestConcurrentFlush:
         tree = forest._trees[0]
         merging, release = threading.Event(), threading.Event()
         rank_keys = tree._rank_keys
+        stalls = []
 
+        # Only the merge ranks keys (under the flush lock); queries rank
+        # their own keys without it.
         def slow_rank_keys(keys):
+            stalls.append(len(keys))
             merging.set()
             release.wait(10)
             return rank_keys(keys)
@@ -269,3 +273,4 @@ class TestConcurrentFlush:
         second.join(10)
         assert not first.is_alive() and not second.is_alive()
         assert answers["first"][0] == answers["second"][0] == "new"
+        assert stalls == [7]

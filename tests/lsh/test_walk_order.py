@@ -273,3 +273,98 @@ class TestWalkOrder:
         assert forest.walk_order(query) == []
         steps = forest.walk_steps(forest.walk_keys([query]), [forest.signature("far")])
         assert steps.tolist() == [[forest.step_count]]
+
+
+# --------------------------------------------------------------------- #
+# the batched descent on larger forests
+# --------------------------------------------------------------------- #
+
+WIDE_TREES = 4
+WIDE_KEY = 8
+WIDE_HASHES = WIDE_TREES * WIDE_KEY
+
+
+@st.composite
+def wide_forests(draw):
+    """Forests where steps hold many rows: bit keys over a few hundred items
+    (level-1 blocks of about half a tree), or small-alphabet keys drawn from
+    a few bases (many duplicate keys)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        count = draw(st.integers(min_value=150, max_value=320))
+        signatures = rng.integers(0, 2, (count, WIDE_HASHES))
+    else:
+        count = draw(st.integers(min_value=80, max_value=240))
+        bases = rng.integers(0, 3, (draw(st.integers(min_value=2, max_value=12)), WIDE_HASHES))
+        signatures = bases[rng.integers(0, len(bases), count)]
+        # Some items differ from their base in a few late positions.
+        tweak = rng.random(signatures.shape) < 0.04
+        signatures = np.where(tweak, rng.integers(0, 3, signatures.shape), signatures)
+    signatures = signatures.astype(np.uint64)
+    queries = [signatures[index] for index in rng.integers(0, count, 3)]
+    # A stored key perturbed, and a key no item has.
+    perturbed = signatures[rng.integers(0, count)].copy()
+    perturbed[rng.integers(0, WIDE_HASHES, 3)] ^= np.uint64(1)
+    queries += [perturbed, np.full(WIDE_HASHES, 7, dtype=np.uint64)]
+    ks = sorted({1, count, count + 1, draw(st.integers(min_value=2, max_value=count))})
+    return signatures, queries, ks, draw(st.sampled_from(["tombstones", "pending"]))
+
+
+def expected_walk(forest, query, k):
+    """The walk ``multi_query(..., walks=True)`` keeps, from the walk order."""
+    items = forest.walk_order(query)
+    if not items:
+        return [], []
+    steps = forest.walk_steps(forest.walk_keys([query]), [forest.signature(i) for i in items])[0]
+    if len(items) > k:
+        kept = int((steps <= steps[k - 1]).sum())
+        items, steps = items[:kept], steps[:kept]
+    return items, steps.tolist()
+
+
+class TestBatchedDescent:
+    @settings(max_examples=30, deadline=None)
+    @given(wide_forests())
+    def test_answers_and_walks_equal_the_walk_order(self, case):
+        signatures, queries, ks, state = case
+        forest = LSHForest(num_hashes=WIDE_HASHES, num_trees=WIDE_TREES)
+        scalar = ScalarLSHForest(num_hashes=WIDE_HASHES, num_trees=WIDE_TREES)
+        names = [f"item{index:03d}" for index in range(len(signatures))]
+        held_back = names[-6:] if state == "pending" else []
+        for name, signature in zip(names, signatures):
+            if name not in held_back:
+                forest.insert(name, signature)
+                scalar.insert(name, signature)
+        forest.multi_query(queries[:1], 1)  # merge the inserts
+        if state == "tombstones":
+            # Below the compaction threshold: the dead rows stay in place.
+            doomed = names[::13][:12]
+            forest.remove_batch(doomed)
+            for name in doomed:
+                scalar.remove(name)
+            assert all(tree._dead for tree in forest._trees)
+        else:
+            for name in held_back:
+                index = names.index(name)
+                forest.insert(name, signatures[index])
+                scalar.insert(name, signatures[index])
+            assert all(tree._pending for tree in forest._trees)
+        items = forest.ids.items
+        for k in ks:
+            walks = forest.multi_query(queries, k, walks=True)
+            answers = forest.multi_query(queries, k)
+            for query, answer, walk in zip(queries, answers, walks):
+                expected = scalar.query(query, k)
+                assert forest.walk_order(query)[:k] == expected
+                assert [items[item] for item in answer.tolist()] == expected
+                walk_items, walk_steps = expected_walk(forest, query, k)
+                assert [items[item] for item in walk.ids.tolist()] == walk_items
+                assert walk.steps.tolist() == walk_steps
+                assert walk.ids.dtype == walk.steps.dtype == answer.dtype == np.int32
+            # Excluding an item the walks reach early.
+            for query in queries[:3]:
+                excluded = forest.walk_order(query)[:1]
+                if excluded:
+                    assert forest.query(query, k, exclude=excluded[0]) == scalar.query(
+                        query, k, exclude=excluded[0]
+                    )
