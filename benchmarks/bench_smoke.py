@@ -22,10 +22,10 @@ the piece small enough to wire into tier-1 (see
 * checks the join-path surface: the batched SA-join graph build must equal
   the scalar ``build_sequential`` oracle edge for edge, and a ``joins=True``
   request's ``join_paths`` block must round-trip through the wire format, and
-* exercises the zero-copy fan-out path: an in-process shared-snapshot attach
-  and a ``workers=2`` pooled query must answer bit-identically to the
-  sequential oracle, the executor-verified join graph must equal the scalar
-  build, the committed bench run must clear the snapshot-ship floor
+* exercises the zero-copy worker-pool path: an in-process shared-snapshot
+  attach must answer bit-identically to the sequential oracle, the join
+  graph verified on a process worker pool must equal the scalar build, the
+  committed bench run must clear the snapshot-ship floor
   (``SNAPSHOT_SHIP_RATIO_FLOOR``) at the largest lake, and closing the
   engine must leave no stray ``/dev/shm`` segments, and
 * guards the mutation path: the committed ``incremental_mutation`` section
@@ -114,8 +114,6 @@ BATCHED_QUERY_KEYS = (
     "batched_seconds_per_query",
     "speedup",
     "rankings_identical",
-    "parallel_workers",
-    "workers_rankings_identical",
 )
 SESSION_CACHE_KEYS = (
     "num_attributes",
@@ -594,14 +592,13 @@ def _check_join_serving(corpus, engine) -> List[str]:
 
 
 def _check_shared_memory_path(corpus, engine) -> List[str]:
-    """The zero-copy fan-out path answers exactly like the sequential oracle.
+    """The zero-copy worker-pool path answers exactly like the sequential oracle.
 
     Exercises the real shared-memory machinery on the tiny lake: an
     in-process snapshot attach must reproduce query rankings bit-identically,
-    a ``workers=2`` fanned-out query (worker pool attached to a shared
-    segment) must equal ``workers=1``, the join graph verified over the
-    executor pool must equal the scalar oracle's edge set, and closing the
-    engine must leave no stray segments behind.
+    the join graph verified on a process worker pool (attached to a shared
+    segment) must equal the scalar oracle's edge set, and closing the engine
+    must leave no stray segments behind.
     """
     from repro.core.discovery import D3L
     from repro.core.joins import SAJoinGraph
@@ -627,9 +624,6 @@ def _check_shared_memory_path(corpus, engine) -> List[str]:
     finally:
         snapshot.close()
 
-    if _ranking(engine, target, workers=2) != oracle:
-        problems.append("workers=2 shared-path query diverges from the oracle")
-
     def edge_map(graph):
         return {
             tuple(sorted(pair)): (
@@ -643,7 +637,7 @@ def _check_shared_memory_path(corpus, engine) -> List[str]:
     shared_graph = engine.build_join_graph(workers=2)
     sequential_graph = SAJoinGraph.build_sequential(engine.indexes, engine.config)
     if edge_map(shared_graph) != edge_map(sequential_graph):
-        problems.append("executor-verified join graph diverges from the oracle")
+        problems.append("pool-verified join graph diverges from the oracle")
 
     engine.close()
     leaked = set(stray_segments()) - before

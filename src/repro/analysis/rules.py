@@ -358,7 +358,6 @@ _POOL_TAILS = {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "ThreadPool"
 _BACKEND_FACTORY_TAILS = {
     "create_backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "WorkerPool",
     "ProcessWorker",

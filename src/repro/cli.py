@@ -82,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--joins", action="store_true", help="also report SA-join paths")
     query.add_argument("--include-self", action="store_true",
                        help="keep a lake table with the target's name in the answer")
-    query.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the batched query fan-out "
-                            "across target attributes (1 = in-process)")
-    query.add_argument("--backend", choices=["serial", "thread", "process"],
-                       default="process",
-                       help="execution backend for the query fan-out "
-                            "(rankings are backend-independent)")
     query.add_argument("--evidence", default=None,
                        help="comma-separated evidence subset (codes N,V,F,E,D "
                             "or names like name,value); default: all five")
@@ -202,9 +195,8 @@ def _command_index(args: argparse.Namespace) -> int:
         lsh_threshold=args.threshold,
         embedding_dimension=args.embedding_dimension,
     )
-    # Context-managed so the sharded build's worker pools and shared-memory
-    # segments are reclaimed on every path out, exceptions included, instead
-    # of waiting for the weakref.finalize backstop at interpreter exit.
+    # A sharded build opens and closes its own worker pool; the engine is
+    # context-managed like every engine handle the CLI opens.
     with D3L(config=config) as engine:
         engine.index_lake(lake, workers=args.workers)
         path = save_engine(engine, args.output)
@@ -216,16 +208,12 @@ def _command_index(args: argparse.Namespace) -> int:
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    if args.workers <= 0:
-        print("--workers must be positive", file=sys.stderr)
-        return 1
     engine = _load_engine_or_fail(args.engine)
     if engine is None:
         return 1
-    # try/finally from the moment the engine exists: the error returns below
-    # (bad target CSV, bad request arguments) must not strand its worker
-    # pools or /dev/shm segments.  close() is idempotent, so the session's
-    # own engine teardown composes with it.
+    # try/finally from the moment the engine exists, so every return below
+    # closes it.  close() is idempotent, so the session's own engine
+    # teardown composes with it.
     try:
         try:
             target = read_csv(args.target)
@@ -252,8 +240,6 @@ def _command_query(args: argparse.Namespace) -> int:
                     explain=args.explain if args.json else True,
                     exclude_self=not args.include_self,
                     joins=args.joins,
-                    workers=args.workers,
-                    backend=args.backend,
                 )
             except (ValueError, KeyError) as error:
                 print(error, file=sys.stderr)
@@ -319,11 +305,10 @@ def _command_serve(args: argparse.Namespace) -> int:
     engine = _load_engine_or_fail(args.engine)
     if engine is None:
         return 1
-    # try/finally from the moment the engine exists: a DiscoveryServer
-    # constructor failure (e.g. the port is already bound) must not strand
-    # the loaded engine's pools or segments.  Both close() calls are
-    # idempotent, so the normal teardown inside run_until_interrupt
-    # composes with them.
+    # try/finally from the moment the engine exists, so every return below
+    # closes it, a DiscoveryServer constructor failure (e.g. the port is
+    # already bound) included.  Both close() calls are idempotent, so the
+    # normal teardown inside run_until_interrupt composes with them.
     try:
         try:
             server = DiscoveryServer(
@@ -347,8 +332,8 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"{args.backend} workers (Ctrl-C to stop)",
                 flush=True,
             )
-            # Blocks until SIGINT/SIGTERM, then closes sessions, reaps
-            # worker pools, and unlinks shared-memory segments.
+            # Blocks until SIGINT/SIGTERM, then closes the sessions or the
+            # worker pool (stopping its processes, unlinking its snapshot).
             server.run_until_interrupt()
         finally:
             server.close()

@@ -8,8 +8,8 @@ is the stable serving surface over that engine:
   query: the target (a raw :class:`~repro.tables.table.Table` or a
   pre-profiled :class:`~repro.core.profiles.TableProfile`), the answer size
   ``k``, an optional evidence-type subset, optional Equation 3 weight
-  overrides, the ``explain`` flag, the D3L+J ``joins`` flag, and the fan-out
-  ``workers``.  Requests with ``attributes`` ask for attribute-level
+  overrides, the ``explain`` flag, the D3L+J ``joins`` flag, and the
+  ``engine``.  Requests with ``attributes`` ask for attribute-level
   rankings instead of table rankings.
 * :class:`QueryResponse` — the machine-readable answer: ranked tables (or
   attributes) with, under ``explain``, the per-evidence distance
@@ -21,10 +21,10 @@ is the stable serving surface over that engine:
 * :class:`DiscoverySession` — the one way to run a query: wraps an indexed
   engine, memoizes target profiles *and* their query signatures across
   repeated requests (LRU, invalidated per table when the lake mutates), and
-  runs each request on the batched/parallel kernels by default or on the
-  sequential oracle on request (``engine="sequential"``).  Rankings are
-  bit-identical to the sequential oracle by construction.  The CLI and both
-  ``repro serve`` backends submit through it.
+  runs each request in the calling process, on the batched kernels by
+  default or on the sequential oracle on request (``engine="sequential"``).
+  Rankings are bit-identical to the sequential oracle by construction.  The
+  CLI and both ``repro serve`` backends submit through it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.core.discovery import (
     attribute_signature_maps,
 )
 from repro.core.evidence import EvidenceType
-from repro.core.execution import BACKENDS
 from repro.core.joins import JoinEdge, JoinPath
 from repro.core.lazy import BuiltOnRead
 from repro.core.profiles import AttributeMatch, TableProfile
@@ -72,7 +71,7 @@ REQUEST_WIRE_FORMAT = "d3l.query_request/v1"
 TRUNCATED_JOIN_PATH_CAP = 20
 
 #: The two execution engines a request may select.  ``batched`` is the
-#: default serving path (per-evidence sweeps, optional process fan-out);
+#: default serving path (per-evidence sweeps);
 #: ``sequential`` is the per-attribute oracle the batched path is verified
 #: against — answers are identical either way.
 ENGINES = ("batched", "sequential")
@@ -167,9 +166,7 @@ class QueryRequest:
     exclude_self: bool = True
     explain: bool = False
     joins: bool = False
-    workers: int = 1
     engine: str = "batched"
-    backend: str = "process"
 
     def __post_init__(self) -> None:
         # Duck-typed table targets (anything exposing name/columns, as the
@@ -187,20 +184,9 @@ class QueryRequest:
             raise ValueError("k must be an integer")
         require_positive("k", self.k)
         object.__setattr__(self, "k", int(self.k))
-        if isinstance(self.workers, bool) or not isinstance(
-            self.workers, numbers.Integral
-        ):
-            raise ValueError("workers must be an integer")
-        require_positive("workers", self.workers)
-        object.__setattr__(self, "workers", int(self.workers))
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; valid engines: {', '.join(ENGINES)}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"valid backends: {', '.join(BACKENDS)}"
             )
         if self.evidence is not None:
             object.__setattr__(self, "evidence", _coerce_evidence(self.evidence))
@@ -214,10 +200,6 @@ class QueryRequest:
             if self.joins:
                 raise ValueError(
                     "join paths are not supported for attribute-level requests"
-                )
-            if self.workers > 1:
-                raise ValueError(
-                    "workers are not supported for attribute-level requests"
                 )
             if isinstance(self.target, TableProfile):
                 raise ValueError(
@@ -696,10 +678,16 @@ _REQUEST_WIRE_FIELDS = (
     "exclude_self",
     "explain",
     "joins",
-    "workers",
     "engine",
-    "backend",
 )
+
+#: Fields of v1 requests from before queries ran in the calling process:
+#: ``workers`` (a per-query fan-out) and ``backend`` (the fan-out's
+#: execution backend).  The answer never depended on them, so
+#: :func:`query_request_from_wire` validates them as it always did, then
+#: drops them.
+_RETIRED_REQUEST_WIRE_FIELDS = ("workers", "backend")
+_RETIRED_BACKENDS = ("serial", "thread", "process")
 
 
 def query_request_to_wire(request: QueryRequest) -> Dict[str, object]:
@@ -717,9 +705,7 @@ def query_request_to_wire(request: QueryRequest) -> Dict[str, object]:
         "exclude_self": request.exclude_self,
         "explain": request.explain,
         "joins": request.joins,
-        "workers": request.workers,
         "engine": request.engine,
-        "backend": request.backend,
     }
     if request.evidence is not None:
         payload["evidence"] = [evidence.value for evidence in request.evidence]
@@ -740,6 +726,8 @@ def query_request_from_wire(payload: Mapping[str, object]) -> QueryRequest:
     The ``format`` marker is optional but, when present, must name
     :data:`REQUEST_WIRE_FORMAT`.  Unknown top-level fields are rejected so a
     misspelt option fails loudly instead of silently running with defaults.
+    The retired ``workers`` and ``backend`` fields are validated with their
+    old messages, then dropped (:func:`_check_retired_fields`).
     """
     if not isinstance(payload, Mapping):
         raise ValueError("request payload must be a JSON object")
@@ -750,7 +738,12 @@ def query_request_from_wire(payload: Mapping[str, object]) -> QueryRequest:
         )
     if "target" not in payload:
         raise ValueError("request payload must carry a 'target'")
-    unknown = set(payload) - set(_REQUEST_WIRE_FIELDS) - {"format", "target"}
+    unknown = (
+        set(payload)
+        - set(_REQUEST_WIRE_FIELDS)
+        - set(_RETIRED_REQUEST_WIRE_FIELDS)
+        - {"format", "target"}
+    )
     if unknown:
         raise ValueError(
             f"unknown request fields: {', '.join(sorted(map(str, unknown)))}"
@@ -765,7 +758,28 @@ def query_request_from_wire(payload: Mapping[str, object]) -> QueryRequest:
         if not isinstance(attributes, list):
             raise ValueError("attributes must be a list of column names")
         options["attributes"] = tuple(attributes)
-    return QueryRequest(target=_table_from_wire(payload["target"]), **options)
+    if "weights" in options and not isinstance(options["weights"], Mapping):
+        raise ValueError("weights must be an object of evidence type to weight")
+    target = _table_from_wire(payload["target"])
+    _check_retired_fields(payload)
+    return QueryRequest(target=target, **options)
+
+
+def _check_retired_fields(payload: Mapping[str, object]) -> None:
+    """Refuse a v1 ``workers`` or ``backend`` value that was refused before
+    they were retired, with the same message."""
+    workers = payload.get("workers")
+    if workers is not None:
+        if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+            raise ValueError("workers must be an integer")
+        require_positive("workers", workers)
+    backend = payload.get("backend")
+    if backend is not None and backend not in _RETIRED_BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; valid backends: {', '.join(_RETIRED_BACKENDS)}"
+        )
+    if workers is not None and workers > 1 and payload.get("attributes") is not None:
+        raise ValueError("workers are not supported for attribute-level requests")
 
 
 # --------------------------------------------------------------------------- #
@@ -845,9 +859,7 @@ def _execute_locked(
             evidence_types=request.evidence,
             exclude_self=request.exclude_self,
             weights=request.weights,
-            workers=request.workers,
             signature_maps=signature_maps,
-            backend=request.backend,
         )
     response = _table_response(request, result, weights_used)
     if request.joins:
@@ -1027,12 +1039,9 @@ class DiscoverySession:
         self._cache.clear()
 
     def close(self) -> None:
-        """Release session state, worker pools, and shared-memory snapshots.
+        """Drop the profile cache and close the engine (:meth:`D3L.close`).
 
-        Clears the profile cache and closes the engine's fan-out executors
-        (reaping worker processes and unlinking ``/dev/shm`` segments).  The
-        session and engine stay usable — pools and snapshots are re-created
-        lazily on the next fanned-out request.
+        The session stays usable; its cache re-fills on the next request.
         """
         self.clear_cache()
         self.engine.close()
@@ -1041,7 +1050,6 @@ class DiscoverySession:
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        """Release pools and segments on scope exit (exceptions included)."""
         self.close()
 
     def save(self, path) -> "object":

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.aggregation import combined_distance, combined_distances, evidence_vector
 from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
-from repro.core.execution import IndexReadWriteLock
+from repro.core.execution import IndexReadWriteLock, create_backend
 from repro.core.indexes import _NO_IDS, Candidates, D3LIndexes
 from repro.core.joins import JoinOverlapCache, JoinPathTree, SAJoinGraph, find_join_paths
 from repro.core.lazy import BuiltOnRead
@@ -254,13 +254,6 @@ class D3L:
         # version (or a restored graph riding a persisted engine) is detected
         # against D3LIndexes.version exactly like the serving-tier caches.
         self._join_graph_version: Optional[int] = None
-        # Lazily created query-fan-out executors, keyed by worker count.
-        # Each keeps a live worker pool holding a snapshot of the indexes, so
-        # repeated queries do not re-ship the index state; single-table
-        # mutations leave the pools alive (they refresh themselves with a
-        # delta on the next fanned-out request) while bulk re-indexing
-        # discards them (see _invalidate_query_executors).
-        self._query_executors: Dict[int, "ParallelQueryExecutor"] = {}
         # Exact value-overlap coefficients verified by previous join-graph
         # builds, keyed by (subject ref, candidate ref).  An overlap is a pure
         # function of the two tables' value samples, so entries stay valid
@@ -288,7 +281,6 @@ class D3L:
             self.indexes.add_lake(lake, workers=workers, backend=backend)
             self._join_graph = None
             self._join_overlap_cache.clear()
-            self._invalidate_query_executors()
 
     def index_table(self, table: Table) -> None:
         """Profile and (re-)index a single table, invalidating per table.
@@ -297,8 +289,7 @@ class D3L:
         (the lake's documented replace semantics).  Only state derived from
         the mutated table is dropped: verified join overlaps touching it, and
         the cached join graph (updated for the mutated tables on next use,
-        see :meth:`build_join_graph`).  Fan-out worker pools stay alive and
-        refresh themselves with a delta on the next request.
+        see :meth:`build_join_graph`).
         """
         with self.index_lock.write():
             self.indexes.add_table(table)
@@ -315,63 +306,26 @@ class D3L:
     def _note_mutation(self, table_name: str) -> None:
         """Per-table invalidation after a single-table mutation.
 
-        Evicts only the verified overlaps involving ``table_name``; worker
-        pools are left running (delta refresh) and the join graph is updated
-        lazily because its cached version no longer matches the indexes.
+        Evicts only the verified overlaps involving ``table_name``; the join
+        graph is updated lazily because its cached version no longer matches
+        the indexes.
         """
         self._join_overlap_cache.evict_table(table_name)
 
-    def _invalidate_query_executors(self) -> None:
-        """Discard fan-out worker pools holding a now-stale index snapshot."""
-        for executor in self._query_executors.values():
-            executor.close()
-        self._query_executors = {}
-
     def close(self) -> None:
-        """Release every fan-out worker pool and shared-memory snapshot.
+        """End the engine's scope: a no-op, kept for ``with D3L() as engine``.
 
-        The engine stays fully usable — pools and snapshots are re-created
-        lazily on the next fanned-out request.  Call this (or
-        :meth:`~repro.core.api.DiscoverySession.close`) when done serving so
-        worker processes and ``/dev/shm`` segments are reclaimed promptly
-        rather than by the garbage-collection backstop.
+        The engine owns no worker processes or shared-memory segments:
+        queries run in the calling process, and sharded builds and join-graph
+        verification open their worker pools for the length of one call.
+        Servers own their worker pools and close them themselves.
         """
-        self._invalidate_query_executors()
 
     def __enter__(self) -> "D3L":
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        """Release pools and segments on scope exit (exceptions included)."""
         self.close()
-
-    def _fanout_executor(
-        self, workers: int, backend: str = "process"
-    ) -> "ParallelQueryExecutor":
-        """The cached fan-out executor for ``workers``, created on demand.
-
-        One executor (and thus one execution backend holding at most one
-        worker pool over one shared index snapshot) exists per requested
-        worker count — keyed by the bare count for the default ``process``
-        backend and by ``(backend, workers)`` otherwise.  :meth:`index_lake`
-        and :meth:`close` discard the cache (see
-        :meth:`_invalidate_query_executors`); single-table mutations keep it,
-        and each backend refreshes its workers with a delta on the next
-        fan-out.
-        """
-        from repro.core.parallel import ParallelQueryExecutor
-
-        key = workers if backend == "process" else (backend, workers)
-        executor = self._query_executors.get(key)
-        if executor is None or executor.indexes is not self.indexes:
-            # The indexes object is only rebound on engine restore (when
-            # the cache is empty), but close any displaced executor so a
-            # rebind can never strand a live worker pool.
-            if executor is not None:
-                executor.close()
-            executor = ParallelQueryExecutor(self.indexes, workers, backend=backend)
-            self._query_executors[key] = executor
-        return executor
 
     @property
     def join_graph(self) -> SAJoinGraph:
@@ -390,11 +344,10 @@ class D3L:
         """Build (or return the cached) SA-join graph for the current lake.
 
         ``workers > 1`` shards the exact value-overlap verification across
-        the engine's persistent fan-out executor for that worker count and
-        ``backend`` (the same executor the batched query engine uses,
-        created on demand); the resulting edge set is identical to a
-        single-process build, so the cache keys on neither the worker count
-        nor the backend.
+        that many workers of the named execution ``backend``, opened for
+        this call only and closed before it returns; the resulting edge set
+        is identical to a single-process build, so the cache keys on neither
+        the worker count nor the backend.
 
         After a mutation the stale graph is updated rather than rebuilt:
         the mutation journal names the tables mutated since the graph's
@@ -412,18 +365,18 @@ class D3L:
                 if graph is None or graph_version is None
                 else self.indexes.mutated_tables_since(graph_version)
             )
-            graph = SAJoinGraph.build(
-                self.indexes,
-                self.config,
-                backend=(
-                    self._fanout_executor(workers, backend).backend
-                    if workers is not None and workers > 1
-                    else None
-                ),
+            options = dict(
                 overlap_cache=self._join_overlap_cache,
                 previous=graph,
                 mutated_tables=mutated,
             )
+            if workers is not None and workers > 1:
+                with create_backend(backend, self.indexes, workers) as pool:
+                    graph = SAJoinGraph.build(
+                        self.indexes, self.config, backend=pool, **options
+                    )
+            else:
+                graph = SAJoinGraph.build(self.indexes, self.config, **options)
             self._join_graph, self._join_graph_version = graph, version
         return graph
 
@@ -503,9 +456,7 @@ class D3L:
         evidence_types: Optional[Sequence[EvidenceType]] = None,
         exclude_self: bool = True,
         weights: Optional[EvidenceWeights] = None,
-        workers: Optional[int] = None,
         signature_maps: Optional[Dict[str, Dict[EvidenceType, object]]] = None,
-        backend: str = "process",
     ) -> QueryResult:
         """The batched counterpart of :meth:`_execute_query`, in sweeps.
 
@@ -515,9 +466,8 @@ class D3L:
         ``multi_batch_attribute_distances``), the Algorithm 2 KS loop runs as
         one vectorized sweep per attribute over the candidates sharing its
         cached sorted extent, and the Equation 2 weights are assigned per
-        candidate pool instead of per pair.  ``workers > 1`` additionally
-        fans the target attributes out across worker processes
-        (:class:`~repro.core.parallel.ParallelQueryExecutor`).
+        candidate pool instead of per pair.  Candidates are collected in
+        the calling process.
 
         Candidates travel as lake attribute ids (``D3LIndexes.ids``) from the
         forests to the ranking, which runs as array passes
@@ -540,34 +490,17 @@ class D3L:
             self._prepare_query(target, k, evidence_types, weights)
         )
         exclude_table = target_profile.table_name if exclude_self else None
-        pool = self.config.candidate_pool_size(k)
-        entries = list(target_profile.attributes.items())
-        context = dict(
+        attribute_distances = collect_attribute_candidate_distances(
+            self.indexes,
+            target_profile.table_name,
+            list(target_profile.attributes.items()),
             active_indexed=tuple(active_indexed),
             use_distribution=use_distribution,
-            pool=pool,
+            pool=self.config.candidate_pool_size(k),
             exclude_table=exclude_table,
             signature_maps=signature_maps,
+            subject=target_profile.subject_attribute,
         )
-        if workers is not None and workers > 1:
-            # The shards split the target's attributes, so the subject's
-            # Algorithm 2 guard is resolved here for all of them.
-            attribute_distances = self._fanout_executor(workers, backend).collect(
-                target_profile.table_name,
-                entries,
-                subject_related_tables=self._subject_related_tables(
-                    target_profile, pool, exclude_table
-                ),
-                **context,
-            )
-        else:
-            attribute_distances = collect_attribute_candidate_distances(
-                self.indexes,
-                target_profile.table_name,
-                entries,
-                subject=target_profile.subject_attribute,
-                **context,
-            )
         return QueryResult(
             target_name=target_profile.table_name,
             target_arity=target_profile.arity,
@@ -937,7 +870,7 @@ class D3L:
 
 
 # --------------------------------------------------------------------------- #
-# batched candidate collection (shared by the batched engine and its shard workers)
+# batched candidate collection
 # --------------------------------------------------------------------------- #
 
 
@@ -1051,17 +984,14 @@ def collect_attribute_candidate_distances(
     exclude_table: Optional[str],
     signature_maps: Optional[Dict[str, Dict[EvidenceType, object]]] = None,
     subject: Optional[str] = None,
-    subject_related_tables: Optional[Set[str]] = None,
 ) -> List[AttributeCandidates]:
     """Full candidate distance columns of many target attributes, batched.
 
-    The batched engine's per-attribute unit of work, and the function
-    :class:`~repro.core.parallel.ParallelQueryExecutor` ships to its shard
-    workers: one multi-query lookup per active evidence type, each
-    attribute's candidates as lake attribute ids in ref order, each
-    distance computed once (:func:`_candidate_columns`), and Algorithm 2
-    as one KS sweep per numeric attribute over the candidates its guard
-    passes.  Column values are identical to what the sequential
+    The batched engine's per-attribute unit of work: one multi-query lookup
+    per active evidence type, each attribute's candidates as lake attribute
+    ids in ref order, each distance computed once (:func:`_candidate_columns`),
+    and Algorithm 2 as one KS sweep per numeric attribute over the
+    candidates its guard passes.  Column values are identical to what the sequential
     ``_collect_matches`` computes per attribute; attributes without
     candidates are omitted, as the sequential loop omits them.
 
@@ -1069,8 +999,7 @@ def collect_attribute_candidate_distances(
     attribute retrieves within the LSH threshold through any index) come
     from the lookups of ``subject``, the subject attribute's name, plus one
     lookup per indexed evidence type the request leaves out — only when a
-    numeric attribute has candidates.  ``subject_related_tables`` gives
-    them instead, for shards that may not hold the subject.
+    numeric attribute has candidates.
 
     ``signature_maps`` may carry precomputed per-attribute query signatures
     (from :func:`attribute_signature_maps`, possibly memoized by a serving
@@ -1097,8 +1026,8 @@ def collect_attribute_candidate_distances(
             continue
         if guard_tables is None:
             guard_tables = _subject_tables(
-                indexes, names, signature_maps, lookups, subject, subject_related_tables,
-                pool, exclude_table, cutoff,
+                indexes, names, signature_maps, lookups, subject, pool, exclude_table,
+                cutoff,
             )
         # Algorithm 2's guard: the candidate's table is subject-related, or
         # its name or format lookup returned it within the threshold.
@@ -1126,17 +1055,12 @@ def _subject_tables(
     signature_maps: Dict[str, Dict[EvidenceType, object]],
     lookups: Mapping[EvidenceType, List[Candidates]],
     subject: Optional[str],
-    subject_related_tables: Optional[Set[str]],
     pool: int,
     exclude_table: Optional[str],
     cutoff: float,
 ) -> np.ndarray:
     """Table codes of Algorithm 2's subject guard (see
     :func:`collect_attribute_candidate_distances`)."""
-    if subject_related_tables is not None:
-        return np.asarray(
-            [indexes.ids.table_code(name) for name in subject_related_tables], dtype=np.int32
-        )
     if subject is None or subject not in names:
         return _NO_IDS
     position = names.index(subject)

@@ -1,19 +1,15 @@
-"""Pluggable execution backends behind every fan-out call site, and the one
+"""Pluggable execution backends behind the sharded call sites, and the one
 process-worker runtime.
 
-:class:`ExecutionBackend` is the contract every fan-out call site programs
-against: *run a pure shard function over a list of payloads against one
-logical view of the indexes*.  Three implementations:
+:class:`ExecutionBackend` is the contract the sharded call sites — sharded
+index builds (:class:`~repro.core.parallel.ParallelIndexBuilder`) and
+SA-join overlap verification — program against: *run a pure shard function
+over a list of payloads against one logical view of the indexes*.  Two
+implementations:
 
 ``serial``
     :class:`SerialBackend` — a list comprehension in the calling thread.
-    The oracle every other backend is equivalence-tested against.
-
-``thread``
-    :class:`ThreadBackend` — a lazily created
-    :class:`~concurrent.futures.ThreadPoolExecutor` over the live, shared
-    indexes.  No serialization cost, but CPU-bound shard work serialises on
-    the GIL.
+    The oracle the process backend is equivalence-tested against.
 
 ``process``
     :class:`ProcessBackend` — a :class:`WorkerPool`: worker processes
@@ -21,17 +17,18 @@ logical view of the indexes*.  Three implementations:
     (descriptor shipping, ~50 bytes per worker), refreshed after lake
     mutations by net deltas from the index journal
     (:func:`~repro.core.shared.build_index_delta`) riding on each message.
-    True parallelism; the default for fan-out.
+    True parallelism; the default for sharded work.
 
-:class:`WorkerPool` is also what ``repro serve --backend process`` runs on
-(:mod:`repro.core.server`), so attach, delta, re-export, crash replacement
-and shutdown exist once.
+Queries do not shard: a request collects its candidates in the calling
+process.  :class:`WorkerPool` is also what ``repro serve --backend process``
+runs on (:mod:`repro.core.server`), parallelising across requests, so
+attach, delta, re-export, crash replacement and shutdown exist once.
 
 A shard function is a module-level callable ``fn(indexes, payload)`` — pure
 in both arguments.  Backends differ only in *which object* arrives as
 ``indexes`` (the live object, or a worker-resident attached reconstruction)
 and in scheduling; since the function is pure and all merges downstream are
-keyed, every backend returns the identical result list for identical
+keyed, both backends return the identical result list for identical
 payloads.  ``tests/core/test_execution.py`` sweeps that equivalence.
 
 Lifecycle: every backend is a context manager, ``close()`` is idempotent,
@@ -51,7 +48,6 @@ import queue
 import signal
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
@@ -70,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.lake.datalake import AttributeRef
 
 #: The recognised backend kinds, in oracle-first order.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Largest mutated-table count a worker pool refreshes via a delta; beyond
 #: this, tearing the pool down and re-exporting a fresh snapshot is cheaper
@@ -177,7 +173,7 @@ def _snapshot_descriptor(
 
     Falls back to the degraded ``("pickle", indexes)`` descriptor — the old
     ship-a-copy-per-worker behavior — when no shared backing can be created,
-    so fan-out keeps working (at the old cost) on hosts without ``/dev/shm``
+    so pools keep working (at the old cost) on hosts without ``/dev/shm``
     or a writable temp directory.
     """
     from repro.core.shared import SharedIndexSnapshot, SharedSnapshotError
@@ -279,12 +275,11 @@ class ProcessWorker:
     def __init__(self, descriptor: "Descriptor") -> None:
         self.descriptor = descriptor
         self.conn, child = multiprocessing.Pipe()
-        # Not a daemon: a worker may fan out to workers of its own (a served
-        # request with workers > 1), and daemonic processes cannot have any.
         self.process = multiprocessing.Process(
             target=_worker_main,
             args=(child, descriptor, os.getpid()),
             name="repro-worker",
+            daemon=True,
         )
         self.process.start()
         child.close()  # the worker holds the only copy: its death is EOF here
@@ -424,9 +419,10 @@ class WorkerPool:
         else:
             descriptor = ("pickle", self.indexes)
         self._delta = self._delta_version = None
-        # multiprocessing's finalizer, not weakref's: at interpreter exit it
-        # runs before multiprocessing joins its non-daemonic children, which
-        # would otherwise wait forever on idle workers.
+        # Stops the workers and unlinks the snapshot when the pool is dropped
+        # unclosed or the interpreter exits.  multiprocessing's finalizer: at
+        # exit it runs before multiprocessing terminates its daemonic
+        # children, so the workers get their stop message, not SIGTERM.
         self._finalizer = multiprocessing.util.Finalize(
             self, _shutdown, args=(self._workers, self._snapshot), exitpriority=0
         )
@@ -501,7 +497,7 @@ class WorkerPool:
 class ExecutionBackend:
     """One logical view of the indexes plus a way to map shards over it.
 
-    The contract every fan-out call site programs against:
+    The contract every sharded call site programs against:
 
     * :meth:`map_shards` — run a pure module-level ``fn(indexes, payload)``
       over payloads, preserving payload order in the result list;
@@ -590,43 +586,6 @@ class SerialBackend(ExecutionBackend):
         return [fn(self.indexes, payload) for payload in payloads]
 
 
-class ThreadBackend(ExecutionBackend):
-    """Shards scheduled on a lazily created thread pool over the live indexes.
-
-    Today's serving-tier concurrency model made explicit: no serialization,
-    no snapshot, shard functions read the one live index object — and
-    CPU-bound work serialises on the GIL, which is exactly the ceiling the
-    process backend lifts.
-    """
-
-    kind = "thread"
-
-    def __init__(self, indexes: Optional["D3LIndexes"], workers: int) -> None:
-        super().__init__(indexes, workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._finalizer: Optional[weakref.finalize] = None
-
-    def map_shards(self, fn: Callable, payloads: Sequence) -> List:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            return [fn(self.indexes, payload) for payload in payloads]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=_pool_size(self.workers))
-            self._finalizer = weakref.finalize(
-                self, ThreadPoolExecutor.shutdown, self._pool, wait=False
-            )
-        indexes = self.indexes
-        return list(self._pool.map(lambda payload: fn(indexes, payload), payloads))
-
-    def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
 class ProcessBackend(ExecutionBackend):
     """Shards on worker processes attached to a shared index snapshot.
 
@@ -670,7 +629,7 @@ class ProcessBackend(ExecutionBackend):
 
     def close(self) -> None:
         """Stop the pool and unlink its snapshot (the backend can be reused
-        afterwards — the next fan-out starts a new pool)."""
+        afterwards — the next multi-shard map starts a new pool)."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.close()
@@ -704,7 +663,7 @@ def create_backend(
 
     ``kind`` must name a member of :data:`BACKENDS`.  Ownership transfers to
     the caller — close the backend (or use it as a context manager) when the
-    fan-out scope ends.
+    sharded work ends.
     """
     if kind not in BACKENDS:
         raise ValueError(
@@ -712,6 +671,4 @@ def create_backend(
         )
     if kind == "serial":
         return SerialBackend(indexes, workers)
-    if kind == "thread":
-        return ThreadBackend(indexes, workers)
     return ProcessBackend(indexes, workers, share_index=share_index)

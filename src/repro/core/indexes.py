@@ -371,12 +371,12 @@ class D3LIndexes:
         #: The live profile of each attribute id (None once removed).
         self._profile_of: List[Optional[AttributeProfile]] = []
         #: Monotonic mutation counter: bumped on every insert/removal so
-        #: serving-tier caches (session profile caches, fan-out worker pools)
-        #: can detect that a snapshot of this object has gone stale.
+        #: serving-tier caches (session profile caches, worker pools) can
+        #: detect that a snapshot of this object has gone stale.
         self.version: int = 0
         #: Trailing mutation journal: ``(version after the bump, table name)``
         #: for the last ``_MUTATION_LOG_LIMIT`` mutations.  Lets delta-aware
-        #: consumers (session caches, fan-out pools, the join-graph overlap
+        #: consumers (session caches, worker pools, the join-graph overlap
         #: cache) invalidate per table via :meth:`mutated_tables_since`
         #: instead of wholesale on every version bump.
         self._mutation_log: List[Tuple[int, str]] = []
@@ -865,7 +865,7 @@ class D3LIndexes:
         of every query's candidates are resolved in one pass, each query's
         candidates are scored with one kernel call, and all queries'
         candidates are ranked by one ``lexsort`` — the multi-query batching
-        the batched query engine fans out over.  Entry ``i`` is a
+        the batched query engine runs on.  Entry ``i`` is a
         :class:`Candidates` whose ids (in :attr:`ids`) are, in order, the
         attributes of ``lookup(evidence, ..., query_signatures={...})`` for
         signature ``i``, with the same distances; ``None`` signatures yield

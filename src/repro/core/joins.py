@@ -726,9 +726,10 @@ class SAJoinGraph:
         Python-level set intersection happens.  Surviving pairs are verified
         with the exact value-sample overlap coefficient through
         ``backend``'s :meth:`~repro.core.execution.ExecutionBackend.verify_overlaps`
-        — the caller's backend over these indexes (the owning engine passes
-        its fan-out executor's: for the process backend, a shared-memory
-        worker pool that resolves value samples from its attached view), or
+        — the caller's backend over these indexes (the owning engine's
+        ``build_join_graph(workers=N)`` opens one for the call: for the
+        process backend, a shared-memory worker pool that resolves value
+        samples from its attached view), or
         an in-process :class:`~repro.core.execution.SerialBackend` when
         ``backend`` is None.  Verification is a pure per-pair function and
         edges are applied in sorted probe order, so every backend and

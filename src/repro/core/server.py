@@ -6,7 +6,7 @@ but nothing served them.  :class:`DiscoveryServer` is that missing tier — a
 stdlib-only HTTP server (no new dependencies) over one loaded engine:
 
 * ``POST /query`` accepts a ``d3l.query_request/v1`` JSON body (target table
-  inline, plus ``k``/``evidence``/``explain``/``joins``/``workers``/…),
+  inline, plus ``k``/``evidence``/``explain``/``joins``/…),
   submits it through a :class:`~repro.core.api.DiscoverySession`, and returns
   ``QueryResponse.truncated().to_dict()`` — the exact payload the CLI's
   ``--json`` mode emits, bit-identical to an in-process session;
@@ -27,7 +27,7 @@ at construction and on the CLI via ``repro serve --backend``:
 
 ``process``
     The same HTTP front end over a :class:`~repro.core.execution.WorkerPool`
-    of ``workers`` processes — the runtime process fan-out also uses —
+    of ``workers`` processes — the runtime sharded work also uses —
     attached read-only to one
     :class:`~repro.core.shared.SharedIndexSnapshot` of the engine's indexes.
     Each request goes to the next idle worker, whose own caching session
@@ -41,8 +41,8 @@ at construction and on the CLI via ``repro serve --backend``:
 Lifecycle: the port is bound before any worker starts.
 :meth:`DiscoveryServer.close` (idempotent, also the ``__exit__``) stops
 accepting, drains handler threads, then closes every session or the worker
-pool — which reaps the engine's worker pools and unlinks its ``/dev/shm``
-segments — so a served engine shuts down leak-free under either backend.
+pool — which stops the workers and unlinks the snapshot's ``/dev/shm``
+segment — so a served engine shuts down leak-free under either backend.
 Workers also exit on their own when the server process dies.
 :meth:`run_until_interrupt` wires SIGINT/SIGTERM to that teardown for the
 CLI's foreground mode.
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing.util
 import queue
 import signal
 import threading
@@ -138,8 +137,6 @@ def _worker_session(view, weights, cache_size: int) -> DiscoverySession:
         )
         engine.indexes = view
         session = DiscoverySession(engine, profile_cache_size=cache_size)
-        # A forked worker skips atexit; multiprocessing runs this at its exit.
-        multiprocessing.util.Finalize(None, session.close, exitpriority=0)
         _served[:] = [session, view.version]
     session, version = _served
     session.engine.weights = weights
@@ -225,7 +222,11 @@ class _DiscoveryRequestHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # Malformed JSON and bytes that are not UTF-8 raise ValueError;
+            # nesting deeper than the interpreter's recursion limit raises
+            # RecursionError.  Either would otherwise end this handler
+            # thread without a reply.
             self._respond(400, {"error": f"invalid JSON body: {error}"})
             return
         try:
@@ -464,8 +465,8 @@ class DiscoveryServer:
 
         Order matters: stop accepting and join handler threads first (no
         request may hold a session or worker past this point), then close
-        the sessions or worker processes — which reaps the engine's fan-out
-        pools and unlinks its shared-memory segments.
+        the sessions or the worker pool, which stops its processes and
+        unlinks its shared-memory snapshot.
         """
         with tracked_scope("discovery-server.state-lock"), self._lock:
             if self._closed:
@@ -481,9 +482,6 @@ class DiscoveryServer:
             session.close()
         if self._pool is not None:
             self._pool.close()
-            # Thread-backend sessions reap the engine through session.close();
-            # mirror that here so a served engine never strands fan-out pools.
-            self.engine.close()
 
     def __enter__(self) -> "DiscoveryServer":
         return self.start()

@@ -2,7 +2,7 @@
 
 The paper's deployment model (Figure 6a) is index-once, query-many: one host
 holds one read-only index and many worker processes answer queries against
-it.  Before this layer, every fan-out pool shipped a full pickled index to
+it.  Before this layer, every worker pool shipped a full pickled index to
 every worker — N workers cost N× resident memory plus serialization on the
 hot path.  A :class:`SharedIndexSnapshot` instead exports the index **once**
 into a named segment and workers attach by name:
@@ -22,9 +22,9 @@ into a named segment and workers attach by name:
   unpickled once per process.
 
 Lifecycle: the creator (a :class:`~repro.core.execution.WorkerPool`, for
-fan-out or for ``repro serve --backend process``) holds the snapshot for the
-life of its workers and releases the segment via :meth:`close` when the pool
-is shut down or re-exports; a ``weakref.finalize`` backstop releases it when the
+sharded work or for ``repro serve --backend process``) holds the snapshot
+for the life of its workers and releases the segment via :meth:`close` when
+the pool is shut down or re-exports; a ``weakref.finalize`` backstop releases it when the
 snapshot is dropped without an explicit close, so abandoned engines cannot
 leak ``/dev/shm`` segments.  Attached mappings in live workers stay valid
 after the unlink (POSIX semantics; the file backing behaves the same way).

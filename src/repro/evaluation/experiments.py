@@ -433,7 +433,6 @@ def experiment_search_time(
     ks: Sequence[int],
     num_targets: int = 10,
     seed: int = 0,
-    query_workers: Optional[int] = None,
 ) -> List[Dict[str, object]]:
     """Average per-query search time as the answer size grows.
 
@@ -441,9 +440,7 @@ def experiment_search_time(
     Aurum's query model is not, so — as in the paper — its average search
     time is reported once per corpus (attached to every row for convenience).
     D3L is additionally timed through its batched engine
-    (``d3l_batch_seconds``; rankings identical to the sequential timing);
-    ``query_workers > 1`` fans the batched queries out over that many worker
-    processes.
+    (``d3l_batch_seconds``; rankings identical to the sequential timing).
     """
     benchmark = suite.benchmark
     targets = benchmark.pick_targets(num_targets, seed=seed)
@@ -467,7 +464,7 @@ def experiment_search_time(
         row["d3l_seconds"] = (time.perf_counter() - start) / max(len(targets), 1)
         start = time.perf_counter()
         for target in targets:
-            suite.d3l._execute_query_batch(target, k=k, workers=query_workers)
+            suite.d3l._execute_query_batch(target, k=k)
         row["d3l_batch_seconds"] = (time.perf_counter() - start) / max(len(targets), 1)
         if suite.tus is not None:
             start = time.perf_counter()

@@ -141,14 +141,8 @@ def run_all_experiments(
     scale: str = "small",
     config: Optional[D3LConfig] = None,
     seed: int = 0,
-    query_workers: Optional[int] = None,
 ) -> ExperimentReport:
-    """Run every experiment of the paper at the requested scale.
-
-    ``query_workers > 1`` runs the batched-engine timings of the search-time
-    experiments with that many worker processes fanning out each query's
-    target attributes (answers are identical regardless of the setting).
-    """
+    """Run every experiment of the paper at the requested scale."""
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
     sizes = SCALES[scale]
@@ -221,7 +215,6 @@ def run_all_experiments(
         ks=sizes.synthetic_ks,
         num_targets=max(3, sizes.num_targets // 2),
         seed=seed,
-        query_workers=query_workers,
     )
     timed(
         "figure6c_search_time_real",
@@ -230,7 +223,6 @@ def run_all_experiments(
         ks=sizes.real_ks,
         num_targets=max(3, sizes.num_targets // 2),
         seed=seed,
-        query_workers=query_workers,
     )
     timed(
         "session_serving",
@@ -286,14 +278,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument("--output", default="./experiment_results")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--query-workers", type=int, default=None,
-                        help="worker processes for the batched query fan-out "
-                             "in the search-time experiments")
     args = parser.parse_args(argv)
 
-    report = run_all_experiments(
-        scale=args.scale, seed=args.seed, query_workers=args.query_workers
-    )
+    report = run_all_experiments(scale=args.scale, seed=args.seed)
     written = report.save(Path(args.output))
     print(report.render())
     print("\nWritten:")

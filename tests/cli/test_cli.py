@@ -332,34 +332,6 @@ class TestQueryErrorPaths:
         assert "no persisted engine" in captured.err
 
 
-class TestQueryWorkers:
-    def test_parallel_query_is_leak_free_and_matches_serial(
-        self, indexed_engine_path, tmp_path, capsys
-    ):
-        """`query --workers 2` spins a shared-memory snapshot + process pool;
-        the session close in the CLI (and the suite-wide autouse leak
-        fixture) must leave zero segments and child processes behind."""
-        import json as json_module
-
-        target = write_csv(
-            Table.from_dict(
-                "cli_workers_target",
-                {
-                    "Practice": ["Salford Medical Centre", "Bolton Surgery"],
-                    "City": ["Salford", "Bolton"],
-                    "Postcode": ["M3 6AF", "BL3 6PY"],
-                },
-            ),
-            tmp_path / "cli_workers_target.csv",
-        )
-        args = ["--engine", str(indexed_engine_path), "--target", str(target), "-k", "3", "--json"]
-        assert main(["query", *args, "--workers", "2"]) == 0
-        parallel = json_module.loads(capsys.readouterr().out)
-        assert main(["query", *args]) == 0
-        serial = json_module.loads(capsys.readouterr().out)
-        assert parallel["results"] == serial["results"]
-
-
 class TestServeCommand:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--engine", "e.pkl"])

@@ -83,10 +83,6 @@ class TestQueryRequestValidation:
             EvidenceType.FORMAT,
         )
 
-    def test_rejects_nonpositive_workers(self, figure1_tables):
-        with pytest.raises(ValueError, match="^workers must be positive$"):
-            QueryRequest(target=figure1_tables["target"], workers=0)
-
     def test_rejects_unknown_engine(self, figure1_tables):
         with pytest.raises(ValueError, match="unknown engine"):
             QueryRequest(target=figure1_tables["target"], engine="quantum")
@@ -209,13 +205,10 @@ class TestPlannerEquivalence:
             (r.table_name, r.distance) for r in oracle.results
         ]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_session_matches_oracle_across_workers(
-        self, indexed_d3l, small_synthetic_benchmark, workers
-    ):
+    def test_session_matches_oracle(self, indexed_d3l, small_synthetic_benchmark):
         target = small_synthetic_benchmark.lake.tables[2]
         session = DiscoverySession(indexed_d3l)
-        response = session.submit(QueryRequest(target=target, k=5, workers=workers))
+        response = session.submit(QueryRequest(target=target, k=5))
         oracle = indexed_d3l._execute_query(target, k=5)
         assert [(r.table_name, r.distance) for r in response.results] == [
             (r.table_name, r.distance) for r in oracle.results
@@ -639,14 +632,13 @@ class TestRequestWireFormat:
             evidence=["N", "V"],
             explain=True,
             joins=True,
-            workers=2,
         )
         wire = json.loads(json.dumps(query_request_to_wire(request)))
         rebuilt = query_request_from_wire(wire)
+        assert rebuilt == request
         assert rebuilt.k == 3
         assert rebuilt.evidence == request.evidence
         assert rebuilt.explain and rebuilt.joins
-        assert rebuilt.workers == 2
         assert rebuilt.engine == "batched"
         assert rebuilt.target_name == request.target_name
         assert [column.name for column in rebuilt.target.columns] == [
@@ -717,43 +709,96 @@ class TestRequestWireFormat:
         with pytest.raises(ValueError, match="cannot be serialised"):
             query_request_to_wire(QueryRequest(target=profile))
 
+    def test_weights_must_be_an_object(self, figure1_tables):
+        wire = query_request_to_wire(QueryRequest(target=figure1_tables["target"]))
+        for weights in (5, [1.0]):
+            with pytest.raises(ValueError, match="weights must be an object"):
+                query_request_from_wire(wire | {"weights": weights})
+
+
+class TestRetiredWireFields:
+    """``workers`` and ``backend`` left ``QueryRequest``; v1 payloads that
+    carry them decode as before, minus the two fields."""
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"workers": 2, "backend": "thread"},
+            {"workers": 1},
+            {"backend": "process"},
+            {"workers": None, "backend": None},
+        ],
+        ids=["thread-fanout", "one-worker", "process-backend", "nulls"],
+    )
+    def test_decode_to_the_request_without_them(self, figure1_tables, retired):
+        wire = query_request_to_wire(
+            QueryRequest(target=figure1_tables["target"], k=3, joins=True)
+        )
+        assert query_request_from_wire(wire | retired) == query_request_from_wire(wire)
+
+    @pytest.mark.parametrize(
+        "retired, message",
+        [
+            ({"workers": 0}, "workers must be positive"),
+            ({"workers": -2}, "workers must be positive"),
+            ({"workers": True}, "workers must be an integer"),
+            ({"workers": "2"}, "workers must be an integer"),
+            (
+                {"backend": "quantum"},
+                "unknown backend 'quantum'; valid backends: serial, thread, process",
+            ),
+        ],
+        ids=["zero-workers", "negative-workers", "bool-workers", "string-workers",
+             "unknown-backend"],
+    )
+    def test_invalid_values_keep_their_messages(self, figure1_tables, retired, message):
+        wire = query_request_to_wire(QueryRequest(target=figure1_tables["target"]))
+        with pytest.raises(ValueError) as refused:
+            query_request_from_wire(wire | retired)
+        assert str(refused.value) == message
+
+    def test_attribute_requests_refuse_more_than_one_worker(self, figure1_tables):
+        target = figure1_tables["target"]
+        wire = query_request_to_wire(
+            QueryRequest(target=target, attributes=(target.columns[0].name,))
+        )
+        assert query_request_from_wire(wire | {"workers": 1}).attributes == (
+            target.columns[0].name,
+        )
+        with pytest.raises(
+            ValueError, match="^workers are not supported for attribute-level requests$"
+        ):
+            query_request_from_wire(wire | {"workers": 2})
+
+    def test_are_not_sent(self, figure1_tables):
+        wire = query_request_to_wire(QueryRequest(target=figure1_tables["target"]))
+        assert "workers" not in wire
+        assert "backend" not in wire
+
+    def test_are_no_longer_request_fields(self, figure1_tables):
+        names = {field.name for field in dataclasses.fields(QueryRequest)}
+        assert not names & {"workers", "backend"}
+        with pytest.raises(TypeError):
+            QueryRequest(target=figure1_tables["target"], workers=2)
+
 
 class TestContextManagers:
-    """``with D3L(...)`` / ``with DiscoverySession(...)`` release resources."""
+    """``with DiscoverySession(...)`` drops the session's profile cache on
+    exit, exceptions included."""
 
-    def test_engine_context_manager_closes_pools(self, figure1_tables, fast_config):
-        from repro.core.shared import stray_segments
-
-        before = set(stray_segments())
+    def test_session_context_manager_clears_its_cache(self, figure1_tables, fast_config):
         with D3L(config=fast_config) as engine:
             engine.index_lake(figure1_tables["lake"])
-            DiscoverySession(engine).submit(
-                QueryRequest(target=figure1_tables["target"], k=2, workers=2)
-            )
-            assert engine._query_executors
-        assert not engine._query_executors
-        assert set(stray_segments()) == before
-
-    def test_session_context_manager_closes_engine(
-        self, figure1_tables, fast_config
-    ):
-        engine = D3L(config=fast_config)
-        engine.index_lake(figure1_tables["lake"])
-        with DiscoverySession(engine) as session:
-            session.submit(
-                QueryRequest(target=figure1_tables["target"], k=2, workers=2)
-            )
-            assert engine._query_executors
-        assert not engine._query_executors
-        assert session.cache_info()["size"] == 0
+            with DiscoverySession(engine) as session:
+                session.submit(QueryRequest(target=figure1_tables["target"], k=2))
+                assert session.cache_info()["size"] == 1
+            assert session.cache_info()["size"] == 0
 
     def test_exception_path_still_closes(self, figure1_tables, fast_config):
         engine = D3L(config=fast_config)
         engine.index_lake(figure1_tables["lake"])
         with pytest.raises(RuntimeError, match="boom"):
             with DiscoverySession(engine) as session:
-                session.submit(
-                    QueryRequest(target=figure1_tables["target"], k=2, workers=2)
-                )
+                session.submit(QueryRequest(target=figure1_tables["target"], k=2))
                 raise RuntimeError("boom")
-        assert not engine._query_executors
+        assert session.cache_info()["size"] == 0

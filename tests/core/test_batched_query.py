@@ -258,7 +258,6 @@ class TestDegenerateLakes:
         )
         assert submit(engine, profile, 3, engine="sequential").results == []
         assert submit(engine, profile, 3).results == []
-        assert submit(engine, profile, 3, workers=3).results == []
 
 
 class TestRelatedAttributesBulk:

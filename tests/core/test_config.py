@@ -93,8 +93,6 @@ class TestSharedValidationHelpers:
         target = Table.from_dict("t", {"a": ["x", "y"]})
         with pytest.raises(ValueError, match="^k must be positive$"):
             QueryRequest(target=target, k=0)
-        with pytest.raises(ValueError, match="^workers must be positive$"):
-            QueryRequest(target=target, workers=-2)
 
 
 class TestJoinConfigValidation:

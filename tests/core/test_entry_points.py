@@ -24,7 +24,12 @@ from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
-from repro.core.execution import ExecutionBackend, SerialBackend, create_backend
+from repro.core.execution import (
+    BACKENDS,
+    ExecutionBackend,
+    SerialBackend,
+    create_backend,
+)
 from repro.core.joins import JoinOverlapCache, SAJoinGraph
 from repro.core.weights import EvidenceWeights
 from repro.datagen.synthetic_benchmark import (
@@ -153,12 +158,6 @@ TABLE_SHAPES = {
     "batched-weights": (
         {"weights": WEIGHTS},
         lambda engine, target: engine._execute_query_batch(target, K, weights=WEIGHTS),
-    ),
-    "batched-thread-workers": (
-        {"workers": 2, "backend": "thread"},
-        lambda engine, target: engine._execute_query_batch(
-            target, K, workers=2, backend="thread"
-        ),
     ),
 }
 
@@ -358,8 +357,6 @@ class TestVerifyOverlaps:
         [
             ("serial", 1),
             ("serial", 3),
-            ("thread", 2),
-            ("thread", 3),
             ("process", 2),
             ("process", 3),
         ],
@@ -386,7 +383,7 @@ class TestVerifyOverlaps:
         assert overlaps == {(left, right): exact_overlap(engine.indexes, left, right)}
 
     def test_no_pairs_verify_to_nothing_on_every_backend(self, engine):
-        for kind in ("serial", "thread", "process"):
+        for kind in BACKENDS:
             with create_backend(kind, engine.indexes, 2) as backend:
                 assert backend.verify_overlaps([]) == {}
                 assert backend.snapshot is None
@@ -394,7 +391,7 @@ class TestVerifyOverlaps:
 
 class TestJoinGraphVerification:
     @pytest.mark.parametrize(
-        "kind, workers", [(None, 1), ("serial", 1), ("thread", 2), ("process", 2)]
+        "kind, workers", [(None, 1), ("serial", 1), ("process", 2)]
     )
     def test_build_verifies_every_candidate_in_one_backend_call(
         self, engine, verification_calls, kind, workers
@@ -444,32 +441,38 @@ class TestJoinGraphVerification:
 
     @pytest.mark.parametrize(
         "workers, backend",
-        [(None, "process"), (1, "process"), (2, "serial"), (2, "thread"), (2, "process")],
+        [(None, "process"), (1, "process"), (2, "serial"), (2, "process")],
     )
-    def test_engine_verifies_on_its_fanout_executors_backend(
-        self, corpus, target, monkeypatch, workers, backend
+    def test_engine_verifies_on_a_backend_opened_for_the_call(
+        self, corpus, monkeypatch, workers, backend
     ):
-        passed = []
+        passed, workers_during_build = [], []
         build = SAJoinGraph.build.__func__
 
         def recording(cls, indexes, config=None, backend=None, **options):
             passed.append(backend)
-            return build(cls, indexes, config, backend=backend, **options)
+            graph = build(cls, indexes, config, backend=backend, **options)
+            if backend is not None and backend.kind == "process":
+                workers_during_build.append(backend.worker_pids())
+            return graph
 
         monkeypatch.setattr(SAJoinGraph, "build", classmethod(recording))
         with D3L(config=_config()) as engine:
             engine.index_lake(corpus.lake)
             graph = engine.build_join_graph(workers=workers, backend=backend)
             oracle = SAJoinGraph.build_sequential(engine.indexes, engine.config)
-            if workers is None or workers == 1:
-                assert passed == [None]
-                assert not engine._query_executors
-            else:
-                # A batched query on the same workers and backend fans out on
-                # the executor the graph was verified on: one pool, not two.
-                submit(engine, target=target, k=K, workers=workers, backend=backend)
-                assert passed == [engine._fanout_executor(workers, backend).backend]
-                assert len(engine._query_executors) == 1
+        if workers is None or workers == 1:
+            assert passed == [None]
+        else:
+            [verifier] = passed
+            assert (verifier.kind, verifier.workers) == (backend, workers)
+            assert verifier.indexes is engine.indexes
+            if backend == "process":
+                # Workers verified the build, and were stopped on the way out.
+                [pids] = workers_during_build
+                assert pids
+                assert verifier.worker_pids() == set()
+                assert verifier.snapshot is None
         assert edge_rows(graph) == edge_rows(oracle)
 
 

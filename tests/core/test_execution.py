@@ -1,12 +1,13 @@
 """Backend-equivalence sweeps for the pluggable execution layer.
 
 Every :class:`~repro.core.execution.ExecutionBackend` must be an
-interchangeable strategy: for a fixed request, ``serial``, ``thread`` and
-``process`` runs — at any worker count, including after lake mutations —
-must produce indistinguishable answers.  The serial backend is the oracle;
-the sweeps here pin the other two to it through the public request
-protocol, the SA-join verification kernel, and the raw ``map_shards``
-surface.  The index lock's writer preference is checked last.
+interchangeable strategy: for fixed payloads, ``serial`` and ``process``
+runs — at any worker count, including after lake mutations — must produce
+indistinguishable answers.  The serial backend is the oracle; the sweeps
+here pin the process backend to it through the SA-join verification
+kernel, the engine's join-graph build, and the raw ``map_shards`` surface.
+The one process runtime's behaviour under concurrency, crashes and a dead
+parent follows, and the index lock's writer preference is checked last.
 """
 
 import glob
@@ -23,12 +24,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.api import (
-    DiscoverySession,
-    QueryRequest,
-    query_request_from_wire,
-    query_request_to_wire,
-)
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.execution import BACKENDS, IndexReadWriteLock, create_backend
@@ -37,14 +32,17 @@ from repro.datagen.synthetic_benchmark import (
     generate_synthetic_benchmark,
 )
 
-POOLED_BACKENDS = ("thread", "process")
-
 ROOT = Path(__file__).resolve().parents[2]
 
 
 def _double_shard(indexes, payload):
     """Module-level shard fn so process workers can unpickle it."""
     return [value * 2 for value in payload]
+
+
+def _table_names(indexes, payload):
+    """Shard fn: the tables of the view a shard runs against."""
+    return sorted(indexes.table_profiles)
 
 
 class _Unpicklable(Exception):
@@ -101,14 +99,6 @@ def engine(corpus):
     engine.close()
 
 
-def _submit(engine, target, *, backend, workers, **kwargs):
-    with DiscoverySession(engine) as session:
-        request = QueryRequest(
-            target=target, k=4, workers=workers, backend=backend, **kwargs
-        )
-        return session.submit(request).to_dict()
-
-
 class TestCreateBackend:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -127,55 +117,39 @@ class TestCreateBackend:
             assert list(backend.map_shards(_double_shard, payloads)) == expected
 
     def test_close_is_idempotent(self, engine):
-        backend = create_backend("thread", engine.indexes, 2)
+        backend = create_backend("process", engine.indexes, 2)
         backend.map_shards(_double_shard, [[1], [2]])
         backend.close()
         backend.close()
+        assert backend.worker_pids() == set()
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_workers_1_vs_4_identical(self, corpus, engine, backend):
-        target = corpus.lake.tables[0]
-        assert _submit(engine, target, backend=backend, workers=1) == _submit(
-            engine, target, backend=backend, workers=4
-        )
-
-    @pytest.mark.parametrize("backend", POOLED_BACKENDS)
-    def test_pooled_backends_match_serial_oracle(self, corpus, engine, backend):
-        for target in (corpus.lake.tables[1], corpus.lake.tables[4]):
-            oracle = _submit(engine, target, backend="serial", workers=1)
-            assert _submit(engine, target, backend=backend, workers=3) == oracle
-
     def test_backends_agree_after_mutation_deltas(self, corpus):
         engine = D3L(config=_tiny_config())
         engine.index_lake(corpus.lake)
-        try:
-            target = corpus.lake.tables[2]
-            # Warm a pool per backend so the mutations below refresh live
-            # workers via deltas instead of building fresh pools.
-            for backend in POOLED_BACKENDS:
-                _submit(engine, target, backend=backend, workers=2)
-            extra = corpus.lake.tables[0].with_name("zz_delta_table")
+        extra = corpus.lake.tables[0].with_name("zz_delta_table")
+        refs = sorted(engine.indexes.profiles)
+        with create_backend("process", engine.indexes, 2) as backend:
+            # Warm the pool so the mutations below reach live workers as a
+            # delta, not as a re-export to fresh workers.
+            assert backend.map_shards(_table_names, [None, None]) == [
+                sorted(corpus.lake.table_names)
+            ] * 2
+            pids = backend.worker_pids()
             engine.index_table(extra)
             engine.remove_table(corpus.lake.table_names[-1])
-            for probe in (target, extra):
-                oracle = _submit(
-                    engine, probe, backend="serial", workers=1, exclude_self=False
-                )
-                for backend in POOLED_BACKENDS:
-                    assert (
-                        _submit(
-                            engine,
-                            probe,
-                            backend=backend,
-                            workers=2,
-                            exclude_self=False,
-                        )
-                        == oracle
-                    )
-        finally:
-            engine.close()
+            expected = sorted(engine.indexes.table_profiles)
+            assert "zz_delta_table" in expected
+            assert backend.map_shards(_table_names, [None, None]) == [expected] * 2
+            assert backend.worker_pids() == pids
+            # Pairs of the added table's attributes and of untouched ones.
+            added = sorted(
+                ref for ref in engine.indexes.profiles if ref.table == extra.name
+            )
+            pairs = list(itertools.combinations(added + refs[:4], 2))
+            with create_backend("serial", engine.indexes, 2) as oracle:
+                assert backend.verify_overlaps(pairs) == oracle.verify_overlaps(pairs)
 
 
 class TestJoinVerificationBackends:
@@ -184,11 +158,11 @@ class TestJoinVerificationBackends:
         pairs = list(itertools.combinations(refs, 2))
         with create_backend("serial", engine.indexes, 1) as oracle:
             expected = oracle.verify_overlaps(pairs)
-        for kind in POOLED_BACKENDS:
+        for kind in BACKENDS:
             with create_backend(kind, engine.indexes, 3) as backend:
                 assert backend.verify_overlaps(pairs) == expected
 
-    @pytest.mark.parametrize("backend", POOLED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_join_graph_identical_across_backends(self, corpus, backend):
         serial = D3L(config=_tiny_config())
         serial.index_lake(corpus.lake)
@@ -356,21 +330,6 @@ class TestProcessWorkers:
         finally:
             for pid in _running(pids):
                 os.kill(pid, signal.SIGKILL)
-
-
-class TestRequestBackendField:
-    def test_unknown_backend_rejected(self, corpus):
-        with pytest.raises(ValueError, match="unknown backend"):
-            QueryRequest(target=corpus.lake.tables[0], backend="quantum")
-
-    def test_wire_round_trip_preserves_backend(self, corpus):
-        request = QueryRequest(
-            target=corpus.lake.tables[0], k=3, workers=2, backend="thread"
-        )
-        payload = query_request_to_wire(request)
-        assert payload["backend"] == "thread"
-        restored = query_request_from_wire(payload)
-        assert restored.backend == "thread"
 
 
 def _start(target) -> threading.Thread:

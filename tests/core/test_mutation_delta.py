@@ -3,8 +3,8 @@
 The tentpole contract: any interleaving of ``index_table`` / ``remove_table``
 / re-add must leave the engine indistinguishable from one built from scratch
 over the surviving tables — identical rankings (ties included), identical
-join-graph edge sets, and ``workers=1 == workers=N`` through the
-delta-refreshed executor pools.  The mutation journal and the net-delta
+join-graph edge sets, and identical answers from process workers whose
+views the journal deltas refreshed.  The mutation journal and the net-delta
 build/apply pair that ship mutations to live workers are unit-tested here
 alongside the randomized sequences.
 """
@@ -18,6 +18,7 @@ import pytest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
+from repro.core.execution import create_backend
 from repro.core.indexes import _MUTATION_LOG_LIMIT
 from repro.core.shared import apply_index_delta, build_index_delta
 from repro.datagen.synthetic_benchmark import (
@@ -27,7 +28,7 @@ from repro.datagen.synthetic_benchmark import (
 from repro.lake.datalake import DataLake
 from repro.tables.table import Table
 
-from tests.core.test_batched_query import assert_identical_answers, submit
+from tests.core.test_batched_query import submit
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,19 @@ def _rankings(engine, targets, k=5):
         [(result.table_name, result.distance) for result in submit(engine, target, k).results]
         for target in targets
     ]
+
+
+def _ranked_on_view(view, target):
+    """Shard fn: the batched engine's ranking of ``target`` over a worker's
+    view of the indexes, as ``_rankings`` gives it."""
+    engine = D3L(
+        config=view.config,
+        embedding_model=view.embedding_model,
+        subject_classifier=view.subject_classifier,
+    )
+    engine.indexes = view
+    result = engine._execute_query_batch(target, 4)
+    return [(entry.table_name, entry.distance) for entry in result.results]
 
 
 def _edge_map(graph):
@@ -395,17 +409,18 @@ class TestRandomizedMutationOracle:
         finally:
             engine.close()
 
-    def test_mutated_engine_fans_out_identically(self, corpus):
-        # workers=1 == workers=N through the delta-refreshed pool, with the
-        # pool created *before* the mutations so the deltas ride the wire.
+    def test_pool_started_before_writes_answers_identically(self, corpus):
+        # The process backend's pool starts before the mutations, so they
+        # reach its workers as deltas; rankings over the refreshed views
+        # must equal the engine's own and a from-scratch rebuild's.
         live = {table.name: table for table in corpus.lake.tables[:6]}
         engine = _build_engine(live.values())
-        try:
-            warmup = live[sorted(live)[0]]
-            submit(engine, warmup, 4, workers=2)
-            assert engine._query_executors
-            executor = engine._query_executors[2]
-            pool_before = executor.backend._pool
+        with create_backend("process", engine.indexes, 2) as backend:
+            warmup = [live[name] for name in sorted(live)[:2]]
+            assert backend.map_shards(_ranked_on_view, warmup) == _rankings(
+                engine, warmup, k=4
+            )
+            pids = backend.worker_pids()
 
             victim = sorted(live)[1]
             del live[victim]
@@ -414,22 +429,9 @@ class TestRandomizedMutationOracle:
             live[extra.name] = extra
             engine.index_table(extra)
 
-            for name in sorted(live):
-                target = live[name]
-                assert_identical_answers(
-                    submit(engine, target, 4, workers=1),
-                    submit(engine, target, 4, workers=2),
-                )
-            assert executor.backend._pool is pool_before
-
-            oracle = _build_engine(live.values())
-            try:
-                for name in sorted(live)[:3]:
-                    assert_identical_answers(
-                        submit(oracle, live[name], 4),
-                        submit(engine, live[name], 4, workers=2),
-                    )
-            finally:
-                oracle.close()
-        finally:
-            engine.close()
+            targets = [live[name] for name in sorted(live)]
+            refreshed = backend.map_shards(_ranked_on_view, targets)
+            assert backend.worker_pids() == pids
+        assert refreshed == _rankings(engine, targets, k=4)
+        oracle = _build_engine(live.values())
+        assert refreshed[:3] == _rankings(oracle, targets[:3], k=4)

@@ -25,6 +25,7 @@ from repro.core.api import (
 from repro.core.server import (
     MAX_REQUEST_BYTES,
     SERVER_NAME,
+    SERVING_BACKENDS,
     DiscoveryServer,
     _DiscoveryRequestHandler,
     index_status,
@@ -35,6 +36,28 @@ from repro.core.server import (
 def server(indexed_d3l):
     with DiscoveryServer(indexed_d3l, port=0, workers=2) as running:
         yield running
+
+
+@pytest.fixture(params=SERVING_BACKENDS)
+def any_server(request, indexed_d3l):
+    """A running server under each serving backend."""
+    with DiscoveryServer(
+        indexed_d3l, port=0, workers=2, backend=request.param
+    ) as running:
+        yield running
+
+
+def _post_raw(server, body: bytes):
+    """``POST /query`` with ``body`` as given: the status and the raw reply."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.request(
+            "POST", "/query", body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
 
 
 def _request(server, method, path, body=None):
@@ -127,20 +150,6 @@ class TestQueryEquivalence:
         assert payload["mode"] == "attributes"
         assert payload == _oracle_payload(indexed_d3l, request)
 
-    def test_process_fanout_request_is_leak_free(
-        self, server, indexed_d3l, small_synthetic_benchmark
-    ):
-        # workers=2 spins a shared-memory snapshot and a process pool inside
-        # the served engine; the autouse leak fixture asserts both are gone
-        # once the server (and with it the engine) is closed.
-        target = small_synthetic_benchmark.lake.tables[0]
-        request = QueryRequest(target=target, k=5, workers=2)
-        status, payload = _request(
-            server, "POST", "/query", query_request_to_wire(request)
-        )
-        assert status == 200
-        assert payload == _oracle_payload(indexed_d3l, request)
-
     def test_concurrent_clients_all_get_oracle_answers(
         self, server, indexed_d3l, small_synthetic_benchmark
     ):
@@ -214,6 +223,37 @@ class TestErrorHandling:
         assert _request(server, "GET", "/nope")[0] == 404
         assert _request(server, "POST", "/nope", {})[0] == 404
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 100_000, b'{"target": "\xff\xfe"}'],
+        ids=["nested-past-the-recursion-limit", "invalid-utf-8"],
+    )
+    def test_malformed_body_is_400_and_the_server_keeps_serving(
+        self, any_server, small_synthetic_benchmark, body
+    ):
+        status, reply = _post_raw(any_server, body)
+        assert status == 400
+        assert json.loads(reply)["error"].startswith("invalid JSON body: ")
+        request = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=5)
+        status, payload = _request(
+            any_server, "POST", "/query", query_request_to_wire(request)
+        )
+        assert status == 200
+        assert payload == _oracle_payload(any_server.engine, request)
+
+    @pytest.mark.parametrize("weights", [5, [1.0, 2.0]], ids=["number", "list"])
+    def test_weights_that_are_not_an_object_are_400(
+        self, any_server, small_synthetic_benchmark, weights
+    ):
+        request = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=5)
+        wire = query_request_to_wire(request)
+        status, payload = _request(any_server, "POST", "/query", wire | {"weights": weights})
+        assert status == 400
+        assert "weights must be an object" in payload["error"]
+        status, payload = _request(any_server, "POST", "/query", wire)
+        assert status == 200
+        assert payload == _oracle_payload(any_server.engine, request)
+
     def test_oversized_body_is_413_and_the_server_keeps_serving(
         self, server, indexed_d3l, small_synthetic_benchmark
     ):
@@ -236,6 +276,63 @@ class TestErrorHandling:
         status, payload = _request(server, "POST", "/query", query_request_to_wire(request))
         assert status == 200
         assert payload == _oracle_payload(indexed_d3l, request)
+
+
+class TestRetiredRequestFields:
+    """v1 clients may still send ``workers`` and ``backend``: the server
+    validates them as before, then answers exactly as without them."""
+
+    @pytest.mark.parametrize(
+        "retired",
+        [{"workers": 2, "backend": "thread"}, {"workers": 1, "backend": "serial"}],
+        ids=["thread-fanout", "serial"],
+    )
+    def test_answer_is_byte_identical_to_the_request_without_them(
+        self, any_server, small_synthetic_benchmark, retired
+    ):
+        target = small_synthetic_benchmark.lake.tables[0]
+        plain = query_request_to_wire(
+            QueryRequest(target=target, k=5, joins=True, explain=True)
+        )
+        status, expected = _post_raw(any_server, json.dumps(plain).encode())
+        assert status == 200
+        status, reply = _post_raw(any_server, json.dumps(plain | retired).encode())
+        assert status == 200
+        assert reply == expected
+
+    @pytest.mark.parametrize(
+        "retired, message",
+        [
+            ({"workers": 0}, "workers must be positive"),
+            ({"workers": True}, "workers must be an integer"),
+            ({"workers": 1.5}, "workers must be an integer"),
+            (
+                {"backend": "quantum"},
+                "unknown backend 'quantum'; valid backends: serial, thread, process",
+            ),
+        ],
+        ids=["zero-workers", "bool-workers", "float-workers", "unknown-backend"],
+    )
+    def test_invalid_values_are_400_with_their_old_messages(
+        self, any_server, small_synthetic_benchmark, retired, message
+    ):
+        target = small_synthetic_benchmark.lake.tables[0]
+        wire = query_request_to_wire(QueryRequest(target=target, k=5)) | retired
+        assert _request(any_server, "POST", "/query", wire) == (400, {"error": message})
+
+    def test_attribute_requests_still_refuse_more_than_one_worker(
+        self, any_server, small_synthetic_benchmark
+    ):
+        target = small_synthetic_benchmark.lake.tables[2]
+        request = QueryRequest(target=target, k=3, attributes=(target.columns[0].name,))
+        wire = query_request_to_wire(request)
+        status, payload = _request(any_server, "POST", "/query", wire | {"workers": 1})
+        assert status == 200
+        assert payload == _oracle_payload(any_server.engine, request)
+        assert _request(any_server, "POST", "/query", wire | {"workers": 2}) == (
+            400,
+            {"error": "workers are not supported for attribute-level requests"},
+        )
 
 
 class _RecordingFile:
@@ -344,8 +441,6 @@ def process_server(small_synthetic_benchmark, fast_config):
     engine.index_lake(
         DataLake("process-served", small_synthetic_benchmark.lake.tables[:8])
     )
-    # close() owns the engine on the process backend (mirrors session.close()
-    # reaping it on the thread backend), so no teardown close here.
     with DiscoveryServer(
         engine, port=0, workers=2, backend="process"
     ) as running:
@@ -358,8 +453,8 @@ class TestProcessBackendEquivalence:
     Worker processes each hold a read-only attachment of the shared snapshot
     plus a mirror engine/session; every payload they produce must be
     byte-identical to an in-process :class:`DiscoverySession` over the live
-    engine, including explain traces, evidence subsets, join paths,
-    attribute mode, and nested ``workers>1`` fan-out inside the worker.
+    engine, including explain traces, evidence subsets, join paths and
+    attribute mode.
     """
 
     def test_rejects_unknown_backend(self, indexed_d3l):
@@ -388,16 +483,13 @@ class TestProcessBackendEquivalence:
         restored = QueryResponse.from_dict(payload)
         assert restored.to_dict() == payload
 
-    def test_evidence_joins_attributes_and_nested_fanout_travel(
+    def test_evidence_joins_and_attributes_travel(
         self, process_server, small_synthetic_benchmark
     ):
         tables = small_synthetic_benchmark.lake.tables[:8]
         requests = [
             QueryRequest(target=tables[1], k=5, evidence=["N", "V"], joins=True),
             QueryRequest(target=tables[2], k=3, attributes=(tables[2].columns[0].name,)),
-            # Nested fan-out: the serving worker process spawns its own
-            # process pool (workers must be non-daemonic for this).
-            QueryRequest(target=tables[0], k=5, workers=2),
         ]
         for request in requests:
             status, payload = _request(

@@ -1,11 +1,11 @@
 """Lifecycle and determinism harness for the shared-memory snapshot layer.
 
-Covers the zero-copy fan-out contract: a ``SharedIndexSnapshot`` attach must
-reconstruct the index bit-identically as read-only views (no array copies),
-segments must never outlive their owners (explicit close, abandoned-executor
-finalization, engine/session close, version bumps), and every fanned-out
-answer over the shared path — queries and join-graph verification, including
-after a persistence-v3 round trip — must equal the sequential oracle.
+Covers the zero-copy worker-pool contract: a ``SharedIndexSnapshot`` attach
+must reconstruct the index bit-identically as read-only views (no array
+copies), segments must never outlive their owners (explicit close,
+abandoned-backend finalization, version bumps), and every answer over the
+shared path — served queries and join-graph verification, including after a
+persistence-v3 round trip — must equal the in-process oracle.
 """
 
 import gc
@@ -16,20 +16,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.api import QueryRequest
+from repro.core.api import DiscoverySession, QueryRequest
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.execution import create_backend
 from repro.core.evidence import EvidenceType
 from repro.core.joins import SAJoinGraph
-from repro.core.parallel import ParallelQueryExecutor, live_worker_pids
+from repro.core.parallel import live_worker_pids
 from repro.core.persistence import load_engine, save_engine
 from repro.core.profiles import sample_overlap
-from repro.core.shared import (
-    SharedIndexSnapshot,
-    SharedSnapshotError,
-    stray_segments,
-)
+from repro.core.shared import SharedIndexSnapshot, SharedSnapshotError
 from repro.datagen.synthetic_benchmark import (
     SyntheticBenchmarkConfig,
     generate_synthetic_benchmark,
@@ -176,12 +172,12 @@ class TestLifecycle:
         gc.collect()
         assert not os.path.exists(f"/dev/shm/{name}")
 
-    def test_abandoned_executor_finalization(self, engine):
+    def test_abandoned_backend_finalization(self, engine):
         refs = sorted(engine.indexes.profiles)[:4]
         pairs = [(refs[0], refs[1]), (refs[2], refs[3]), (refs[0], refs[2])]
         pids_before = live_worker_pids()
-        executor = ParallelQueryExecutor(engine.indexes, workers=2)
-        overlaps = executor.backend.verify_overlaps(pairs)
+        backend = create_backend("process", engine.indexes, 2)
+        overlaps = backend.verify_overlaps(pairs)
         expected = {
             (left, right): sample_overlap(
                 engine.indexes.profiles[left].value_sample,
@@ -190,14 +186,14 @@ class TestLifecycle:
             for left, right in pairs
         }
         assert overlaps == expected
-        snapshot = executor.snapshot
+        snapshot = backend.snapshot
         assert snapshot is not None
         _, name = snapshot.descriptor
-        # Only this executor's workers: other live executors (module-scoped
-        # engines elsewhere in the suite) keep pools of their own.
+        # Only this backend's workers: other live pools elsewhere in the
+        # suite keep workers of their own.
         own_pids = live_worker_pids() - pids_before
         assert own_pids
-        del executor
+        del backend
         gc.collect()
         assert not os.path.exists(f"/dev/shm/{name}")
         deadline = time.monotonic() + 5.0
@@ -209,11 +205,9 @@ class TestLifecycle:
         engine = _build_engine(corpus)
         refs = sorted(engine.indexes.profiles)[:4]
         pairs = [(refs[0], refs[1]), (refs[2], refs[3])]
-        executor = ParallelQueryExecutor(engine.indexes, workers=2)
-        backend = executor.backend
-        try:
+        with create_backend("process", engine.indexes, 2) as backend:
             backend.verify_overlaps(pairs)
-            first = executor.snapshot
+            first = backend.snapshot
             assert first is not None
             assert first.version == engine.indexes.version
             extra = Table.from_dict(
@@ -224,7 +218,7 @@ class TestLifecycle:
             # A single-table mutation rides to the workers as a delta: the
             # snapshot (and pool) survive, and the pending delta targets the
             # current version from the snapshot's fixed base.
-            assert executor.snapshot is first
+            assert backend.snapshot is first
             assert not first.closed
             pool = backend._pool
             assert pool._delta is not None
@@ -234,66 +228,25 @@ class TestLifecycle:
             ]
             assert pool._delta_version == engine.indexes.version
             assert pool._snapshot_version == first.version
-        finally:
-            executor.close()
-
-    def test_engine_close_releases_segments_and_workers(self, corpus):
-        engine = _build_engine(corpus)
-        before = set(stray_segments())
-        pids_before = live_worker_pids()
-        target = corpus.lake.tables[0]
-        baseline = submit(engine, target, 5, workers=1)
-        fanned = submit(engine, target, 5, workers=2)
-        assert_identical_answers(baseline, fanned)
-        executor = engine._query_executors[2]
-        assert executor.snapshot is not None
-        own_pids = live_worker_pids() - pids_before
-        assert own_pids
-        engine.close()
-        assert not engine._query_executors
-        assert executor.snapshot is None
-        assert set(stray_segments()) == before
-        assert not (live_worker_pids() & own_pids)
-
-    def test_session_close_releases_engine_pools(self, corpus):
-        from repro.core.api import DiscoverySession
-
-        engine = _build_engine(corpus)
-        session = DiscoverySession(engine)
-        session.submit(QueryRequest(target=corpus.lake.tables[0], k=5, workers=2))
-        assert engine._query_executors
-        session.close()
-        assert not engine._query_executors
+        assert first.closed
 
 
 class TestSharedPathDeterminism:
-    def test_workers_1_vs_4_over_the_shared_pool(self, corpus):
-        engine = _build_engine(corpus)
-        try:
-            for name in corpus.lake.table_names[::4]:
-                target = corpus.lake.table(name)
-                assert_identical_answers(
-                    submit(engine, target, 5, workers=1),
-                    submit(engine, target, 5, workers=4),
-                )
-            assert engine._query_executors[4].snapshot is not None
-        finally:
-            engine.close()
+    def test_persistence_round_trip_then_served_by_process_workers(
+        self, corpus, engine, tmp_path
+    ):
+        from repro.core.server import DiscoveryServer
 
-    def test_persistence_round_trip_then_shared_fanout(self, corpus, engine, tmp_path):
         path = save_engine(engine, tmp_path / "engine.d3l")
         restored = load_engine(path)
-        try:
+        with DiscoveryServer(restored, port=0, workers=2, backend="process") as server:
             for name in corpus.lake.table_names[::4]:
-                target = corpus.lake.table(name)
-                assert_identical_answers(
-                    submit(engine, target, 5, workers=1),
-                    submit(restored, target, 5, workers=2),
-                )
-        finally:
-            restored.close()
+                request = QueryRequest(target=corpus.lake.table(name), k=5)
+                with DiscoverySession(engine) as oracle:
+                    expected = oracle.submit(request).truncated().to_dict()
+                assert server.submit(request) == expected
 
-    def test_join_graph_over_the_executor_pool(self, corpus):
+    def test_join_graph_over_a_process_backend(self, corpus):
         engine = _build_engine(corpus)
         try:
             oracle = SAJoinGraph.build_sequential(engine.indexes, engine.config)
