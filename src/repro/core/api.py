@@ -184,6 +184,10 @@ class QueryRequest:
             raise ValueError("k must be an integer")
         require_positive("k", self.k)
         object.__setattr__(self, "k", int(self.k))
+        # Checked, not coerced: a wire string such as "false" is truthy.
+        for flag in ("exclude_self", "explain", "joins"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be a boolean")
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; valid engines: {', '.join(ENGINES)}"

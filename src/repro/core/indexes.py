@@ -94,12 +94,13 @@ class Candidates(NamedTuple):
 class SignatureMatrix:
     """Per-evidence signature matrix with an id↔row registry.
 
-    All signatures of one index live in a single ``(N, num_hashes)`` array so
+    All signatures of one index live in a single ``(N, width)`` array so
     that the distances between a query signature and any subset of stored
-    attributes are one vectorized agreement count (MinHash) or
-    boolean-difference popcount (random projection) instead of N pairwise
-    calls.  A parallel boolean flag per row marks degenerate signatures
-    (empty MinHash / zero-vector projection) whose distance is pinned at 1.0.
+    attributes are one vectorized agreement count (MinHash: ``uint32``
+    values) or XOR popcount (random projection: bits packed 8 to a byte)
+    instead of N pairwise calls.  A parallel boolean flag per row marks
+    degenerate signatures (empty MinHash / zero-vector projection) whose
+    distance is pinned at 1.0.
 
     Rows belong to ids of ``ids`` (a registry of its own unless the caller
     shares one); :meth:`rows` maps ids to rows in one gather.  Rows are
@@ -107,11 +108,11 @@ class SignatureMatrix:
     slot and updates the registry, so the dense block stays packed.
     """
 
-    def __init__(self, num_hashes: int, dtype: np.dtype, ids: Optional[ItemIds] = None) -> None:
-        self.num_hashes = num_hashes
+    def __init__(self, width: int, dtype: np.dtype, ids: Optional[ItemIds] = None) -> None:
+        self.width = width
         self._dtype = np.dtype(dtype)
         self._ids = ItemIds() if ids is None else ids
-        self._matrix = np.empty((0, num_hashes), dtype=self._dtype)
+        self._matrix = np.empty((0, width), dtype=self._dtype)
         self._flags = np.empty(0, dtype=bool)
         #: The id of each row.
         self._items: List[int] = []
@@ -198,7 +199,7 @@ class SignatureMatrix:
         needed = count + len(fresh_positions)
         if needed > self._matrix.shape[0]:
             capacity = max(8, 2 * count, needed)
-            matrix = np.empty((capacity, self.num_hashes), dtype=self._dtype)
+            matrix = np.empty((capacity, self.width), dtype=self._dtype)
             matrix[:count] = self._matrix[:count]
             self._matrix = matrix
             flags = np.empty(capacity, dtype=bool)
@@ -306,7 +307,7 @@ class SignatureMatrix:
         matrix = np.ascontiguousarray(matrix, dtype=self._dtype)
         flags = np.ascontiguousarray(flags, dtype=bool)
         refs = list(refs)
-        if matrix.shape != (len(refs), self.num_hashes) or flags.shape != (len(refs),):
+        if matrix.shape != (len(refs), self.width) or flags.shape != (len(refs),):
             raise ValueError(
                 f"inconsistent signature-matrix state: {len(refs)} refs, "
                 f"matrix {matrix.shape}, flags {flags.shape}"
@@ -320,7 +321,7 @@ class SignatureMatrix:
     def estimated_bytes(self) -> int:
         """Footprint of the populated rows plus the registry references."""
         count = len(self._items)
-        row_bytes = self.num_hashes * self._dtype.itemsize
+        row_bytes = self.width * self._dtype.itemsize
         return int(count * (row_bytes + 1 + 8))
 
 
@@ -355,17 +356,15 @@ class D3LIndexes:
             )
             for i, evidence in enumerate(EvidenceType.indexed())
         }
-        self._signatures: Dict[EvidenceType, Dict[AttributeRef, Signature]] = {
-            evidence: {} for evidence in EvidenceType.indexed()
-        }
+        #: One matrix row per indexed attribute and evidence type: the only
+        #: copy of its signature besides the forest's tree rows.
         self._matrices: Dict[EvidenceType, SignatureMatrix] = {
-            evidence: SignatureMatrix(
-                cfg.num_hashes,
-                np.dtype(np.uint8 if evidence is EvidenceType.EMBEDDING else np.uint64),
-                ids=self.ids,
-            )
-            for evidence in EvidenceType.indexed()
+            evidence: SignatureMatrix(cfg.num_hashes, np.dtype(np.uint32), ids=self.ids)
+            for evidence in (EvidenceType.NAME, EvidenceType.VALUE, EvidenceType.FORMAT)
         }
+        self._matrices[EvidenceType.EMBEDDING] = SignatureMatrix(
+            (cfg.num_hashes + 7) // 8, np.dtype(np.uint8), ids=self.ids
+        )
         self.profiles: Dict[AttributeRef, AttributeProfile] = {}
         self.table_profiles: Dict[str, TableProfile] = {}
         #: The live profile of each attribute id (None once removed).
@@ -530,21 +529,20 @@ class D3LIndexes:
             raws: List[np.ndarray] = []
             flags: List[bool] = []
             forest = self._forests[evidence]
-            stored = self._signatures[evidence]
             for name, profile in table_profile.attributes.items():
                 signature = signatures_by_attribute[name][evidence]
                 if signature is None:
                     continue
                 raw = _raw(signature)
-                stored[profile.ref] = signature
                 forest.insert(profile.ref, raw)
                 refs.append(profile.ref)
                 raws.append(raw)
                 flags.append(_is_degenerate(signature))
             if refs:
-                self._matrices[evidence].add_batch(
-                    refs, np.vstack(raws), np.asarray(flags, dtype=bool)
-                )
+                rows = np.vstack(raws)
+                if evidence is EvidenceType.EMBEDDING:
+                    rows = np.packbits(rows, axis=1)
+                self._matrices[evidence].add_batch(refs, rows, np.asarray(flags, dtype=bool))
         self.version += 1
         self._log_mutation(table_profile.table_name)
 
@@ -602,9 +600,7 @@ class D3LIndexes:
         instead of per-table swap chains — the batched half of the worker
         delta replay path.
         """
-        refs_by_evidence: Dict[EvidenceType, List[AttributeRef]] = {
-            evidence: [] for evidence in EvidenceType.indexed()
-        }
+        refs: List[AttributeRef] = []
         removed: List[str] = []
         for table_name in table_names:
             table_profile = self.table_profiles.pop(table_name, None)
@@ -613,13 +609,10 @@ class D3LIndexes:
             removed.append(table_name)
             for profile in table_profile.attributes.values():
                 self._drop_profile(profile.ref)
-                for evidence in EvidenceType.indexed():
-                    if self._signatures[evidence].pop(profile.ref, None) is not None:
-                        refs_by_evidence[evidence].append(profile.ref)
-        for evidence, refs in refs_by_evidence.items():
-            if refs:
-                self._forests[evidence].remove_batch(refs)
-                self._matrices[evidence].discard_batch(refs)
+                refs.append(profile.ref)
+        for evidence in EvidenceType.indexed():
+            self._forests[evidence].remove_batch(refs)
+            self._matrices[evidence].discard_batch(refs)
         for table_name in removed:
             self.version += 1
             self._log_mutation(table_name)
@@ -635,9 +628,8 @@ class D3LIndexes:
         for profile in table_profile.attributes.values():
             self._drop_profile(profile.ref)
             for evidence in EvidenceType.indexed():
-                if self._signatures[evidence].pop(profile.ref, None) is not None:
-                    self._forests[evidence].remove(profile.ref)
-                    self._matrices[evidence].discard(profile.ref)
+                self._forests[evidence].remove(profile.ref)
+                self._matrices[evidence].discard(profile.ref)
 
     def _set_profile(self, profile: AttributeProfile) -> None:
         """Record ``profile`` as its attribute's live profile, giving it an id."""
@@ -725,8 +717,18 @@ class D3LIndexes:
         return self._forests[evidence]
 
     def signature(self, evidence: EvidenceType, ref: AttributeRef) -> Optional[Signature]:
-        """Stored signature of an indexed attribute (None when not indexed)."""
-        return self._signatures[evidence].get(ref)
+        """Stored signature of an indexed attribute (None when not indexed),
+        rebuilt from a copy of its matrix row."""
+        matrix = self._matrices[evidence]
+        row = matrix.row(ref)
+        if row is None:
+            return None
+        values, flags = matrix.gather(np.array([row]))
+        if evidence is EvidenceType.EMBEDDING:
+            return self._projection_factory.from_bits(
+                np.unpackbits(values[0], count=self.config.num_hashes), is_zero=bool(flags[0])
+            )
+        return self._minhash_factory.from_hashvalues(values[0])
 
     def subject_attribute(self, table_name: str) -> Optional[str]:
         """Subject attribute of an indexed table."""
@@ -794,7 +796,7 @@ class D3LIndexes:
             return ks_statistic_sorted(profile.numeric_sorted, other.numeric_sorted)
         signatures = query_signatures or self.signatures_for(profile)
         signature = signatures[evidence]
-        stored = self._signatures[evidence].get(ref)
+        stored = self.signature(evidence, ref)
         if signature is None or stored is None:
             return 1.0
         return _signature_distance(signature, stored)

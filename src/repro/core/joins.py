@@ -405,7 +405,7 @@ class _PoolBuild:
         ]
         count = len(self.probes)
         self.keys = np.zeros(
-            (count, self.forest.num_trees, self.forest.key_length), dtype=np.uint64
+            (count, self.forest.num_trees, self.forest.key_length), dtype=self.forest.key_dtype
         )
         self.ids: List[Optional[np.ndarray]] = [None] * count
         self.steps: List[Optional[np.ndarray]] = [None] * count

@@ -7,11 +7,13 @@ every worker — N workers cost N× resident memory plus serialization on the
 hot path.  A :class:`SharedIndexSnapshot` instead exports the index **once**
 into a named segment and workers attach by name:
 
-* the v3 persistence sections (:func:`repro.core.persistence.indexes_sections`)
+* the v4 persistence sections (:func:`repro.core.persistence.indexes_sections`)
   are split into a small picklable manifest (config, embedding model, subject
-  classifier, profiles, refs, forest item lists) and the raw NumPy buffers
-  (per-evidence signature matrices and degeneracy flags, per-tree sorted
-  forest key arrays plus their precomputed rank-key bytes);
+  classifier, profiles, refs, forest item lists) and the raw NumPy buffers,
+  which are exactly the per-evidence signature matrices (``uint32`` MinHash
+  rows, packed projection bits) and degeneracy flags and the per-tree
+  sorted big-endian forest key rows — a tree's rank keys are a view of its
+  key rows, so nothing else is stored;
 * the buffers are laid out 64-byte aligned behind the manifest in one
   ``multiprocessing.shared_memory`` segment (or an mmap'd file when POSIX
   shared memory is unavailable — same byte layout, same attach path);
@@ -90,23 +92,20 @@ class SharedSnapshotError(RuntimeError):
 def _array_specs(
     sections: Dict[str, object]
 ) -> Tuple[Dict[str, object], List[Tuple[str, np.ndarray]]]:
-    """Split v3 sections into a picklable manifest ``meta`` and named buffers.
+    """Split v4 sections into a picklable manifest ``meta`` and named buffers.
 
     The arrays keep a deterministic naming scheme
-    (``{evidence}/matrix|flags`` and ``{evidence}/tree{t}/keys|ranks``) so
-    the attach side can reassemble the sections without positional coupling.
+    (``{evidence}/matrix|flags`` and ``{evidence}/tree{t}/keys``) so the
+    attach side can reassemble the sections without positional coupling.
     """
-    from repro.lsh.lsh_forest import rank_key_bytes
-
     arrays: List[Tuple[str, np.ndarray]] = []
     evidence_meta: Dict[str, object] = {}
     for value, section in sections["evidence"].items():
         forest = section["forest"]
         items: List[list] = []
         for tree_index, tree_state in enumerate(forest["trees"]):
-            keys = np.ascontiguousarray(tree_state["keys"], dtype=np.uint64)
+            keys = np.ascontiguousarray(tree_state["keys"])
             arrays.append((f"{value}/tree{tree_index}/keys", keys))
-            arrays.append((f"{value}/tree{tree_index}/ranks", rank_key_bytes(keys)))
             items.append(tree_state["items"])
         arrays.append(
             (f"{value}/matrix", np.ascontiguousarray(section["matrix"]))
@@ -129,7 +128,6 @@ def _array_specs(
         "embedding_model": sections["embedding_model"],
         "subject_classifier": sections["subject_classifier"],
         "profiles": sections["profiles"],
-        "table_profiles": sections["table_profiles"],
         "evidence": evidence_meta,
     }
     return meta, arrays
@@ -138,14 +136,13 @@ def _array_specs(
 def _reassemble_sections(
     meta: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> Dict[str, object]:
-    """Rebuild the v3 sections from a manifest plus named buffer views."""
+    """Rebuild the v4 sections from a manifest plus named buffer views."""
     evidence_sections: Dict[str, object] = {}
     for value, entry in meta["evidence"].items():
         forest_meta = entry["forest"]
         trees = [
             {
                 "keys": arrays[f"{value}/tree{tree_index}/keys"],
-                "ranks": arrays[f"{value}/tree{tree_index}/ranks"],
                 "items": items,
             }
             for tree_index, items in enumerate(forest_meta["items"])
@@ -166,7 +163,6 @@ def _reassemble_sections(
         "embedding_model": meta["embedding_model"],
         "subject_classifier": meta["subject_classifier"],
         "profiles": meta["profiles"],
-        "table_profiles": meta["table_profiles"],
         "evidence": evidence_sections,
     }
 
@@ -227,7 +223,7 @@ class SharedIndexSnapshot:
         """Export ``indexes`` into a shared segment (or the mmap'd fallback).
 
         ``backing`` is ``"auto"`` (POSIX shared memory, falling back to an
-        mmap'd file), ``"shm"``, or ``"file"``.  The export reuses the v3
+        mmap'd file), ``"shm"``, or ``"file"``.  The export reuses the
         persistence section writers with ``copy=False``, so each buffer is
         read exactly once while being streamed into the segment.
         """
@@ -253,7 +249,7 @@ class SharedIndexSnapshot:
             payload_arrays.append((offset, array))
             offset += array.nbytes
         manifest = {
-            "format": 3,
+            "format": 4,
             "version": indexes.version,
             "meta": meta,
             "arrays": specs,
@@ -338,7 +334,7 @@ class SharedIndexSnapshot:
                         f"cannot create a {total}-byte POSIX shared-memory segment"
                     )
         try:
-            path = Path(tempfile.gettempdir()) / f"{name}.v3"
+            path = Path(tempfile.gettempdir()) / f"{name}.v4"
             with path.open("wb") as seed_handle:
                 seed_handle.truncate(total)
             file_handle = path.open("r+b")

@@ -109,7 +109,8 @@ class HashFamily:
     def permute(self, hashed_values: np.ndarray) -> np.ndarray:
         """Apply every function in the family to each value in ``hashed_values``.
 
-        Returns an array of shape ``(len(hashed_values), size)``.
+        Returns an array of shape ``(len(hashed_values), size)`` whose values
+        are masked to their low 32 bits.
         """
         if hashed_values.size == 0:
             return np.empty((0, self.size), dtype=np.uint64)
@@ -118,10 +119,11 @@ class HashFamily:
         return np.bitwise_and(permuted, MAX_HASH)
 
     def minhash_values(self, hashed_values: np.ndarray) -> np.ndarray:
-        """Column-wise minima of :meth:`permute`, i.e. a MinHash signature."""
+        """Column-wise minima of :meth:`permute`, i.e. a MinHash signature:
+        ``size`` values below 2^32, stored as ``uint32``."""
         if hashed_values.size == 0:
-            return np.full(self.size, MAX_HASH, dtype=np.uint64)
-        return self.permute(hashed_values).min(axis=0)
+            return np.full(self.size, MAX_HASH, dtype=np.uint32)
+        return self.permute(hashed_values).min(axis=0).astype(np.uint32)
 
     def minhash_values_batch(
         self,
@@ -140,21 +142,19 @@ class HashFamily:
           *distinct* hash value is permuted exactly once; ``(a * x + b) % p``
           is by far the hot arithmetic;
         * **narrowing** — permuted values are masked to 32 bits, so the
-          permutation table is stored as uint32 (half the memory traffic of
-          the scalar path's uint64 intermediates) and only the final
-          signature is widened back;
+          permutation table and the signatures are ``uint32``;
         * **cache blocking** — values are permuted in ``block_rows`` slices
           and signatures reduced over blocks of ``block_rows`` sets, sorted
           by descending size, sweeping one value column at a time over the
           still-active prefix (``minima[:active]``), so every transient
           stays L2-resident instead of streaming one huge matrix.
 
-        Minimum over unsigned integers is associative and commutative and the
-        32-bit narrowing is lossless, so the result is the scalar one, bit
-        for bit — which ``tests/core/test_batched_indexing.py`` locks down.
+        Minimum over unsigned integers is associative and commutative, so
+        the result is the scalar one, bit for bit — which
+        ``tests/core/test_batched_indexing.py`` locks down.
         """
         count = len(hashed_value_arrays)
-        signatures = np.full((count, self.size), MAX_HASH, dtype=np.uint64)
+        signatures = np.full((count, self.size), MAX_HASH, dtype=np.uint32)
         arrays = []
         populated = []
         for index in range(count):

@@ -12,19 +12,26 @@ Performance architecture
 Each :class:`_PrefixTree` uses the sorted-array layout the LSH Forest paper
 prescribes, vectorized with NumPy:
 
-* keys are a single sorted 2D ``uint64`` array of shape ``(n, key_length)``
-  with a parallel ``int32`` array of item ids, kept in lexicographic order;
-* the lexicographic order is materialised once per (re)build as a 1D array of
-  big-endian byte *rank keys* (a NumPy void dtype of ``key_length * 8``
-  bytes), so finding where a whole key sorts is one O(log n)
-  ``np.searchsorted``;
+* keys are a single sorted 2D array of shape ``(n, key_length)`` with a
+  parallel ``int32`` array of item ids, kept in lexicographic order.  The
+  rows are big-endian unsigned integers of the signatures' own width (a
+  forest takes its key dtype from the first signature it holds: ``>u4``
+  for 32-bit MinHash values, one byte per bit for random projections), so
+  a row's bytes sort as its values do and the rank keys that order the
+  rows (a NumPy void dtype of one row's bytes) are a view of the same
+  buffer: finding where a whole key sorts is one O(log n)
+  ``np.searchsorted`` over that view, and equality tests read the bytes
+  as native integers, since equality does not depend on byte order;
 * inserts are buffered and merged with one stable vectorized sort on the
   next query (amortised O(log n) per insert for the usual build-then-query
   workload);
-* removals are O(1) tombstones; the tree compacts — dropping dead rows and
-  rebuilding the rank keys — once more than half of its rows are dead, so
-  remove costs O(log n) amortised and queries never scan dead entries
-  outside a compaction cycle.
+* removals are O(1) tombstones; the tree compacts — dropping dead rows —
+  once more than half of its rows are dead, so remove costs O(log n)
+  amortised and queries never scan dead entries outside a compaction
+  cycle.
+
+A forest stores no signature besides its tree rows:
+:meth:`LSHForest.signature` reads an item's rows back.
 
 A tree's *block table* (:func:`_block_table`), derived from the prefix
 each row shares with the row before it, holds the bounds of every run of
@@ -168,7 +175,8 @@ class Walk(NamedTuple):
 
 
 class _TreeState(NamedTuple):
-    """A merged tree's arrays as one descent reads them."""
+    """A merged tree's arrays as one descent reads them: its key rows read
+    as native integers, and the same rows read as rank keys."""
 
     keys: np.ndarray
     ranks: np.ndarray
@@ -231,41 +239,39 @@ def _block_table(keys: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], codes))
 
 
-def rank_key_bytes(keys: np.ndarray) -> np.ndarray:
-    """Big-endian rank-key bytes of sorted key rows: ``(n, key_length * 8)`` uint8.
+def _key_dtype(dtype: np.dtype) -> np.dtype:
+    """Big-endian unsigned integers of a signature dtype's width: key rows
+    of this dtype sort bytewise as their values do."""
+    return np.dtype(f">u{np.dtype(dtype).itemsize}")
 
-    The byte layout matches the void-dtype rank keys a :class:`_PrefixTree`
-    materialises internally, so a tree state exported together with these
-    bytes can be re-imported without recomputing the ranks — the shared-memory
-    snapshot layer (:mod:`repro.core.shared`) stores them next to the key
-    arrays and workers adopt both as views.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    if keys.ndim != 2:
-        raise ValueError(f"expected a 2D key array, got shape {keys.shape}")
-    rows, key_length = keys.shape
-    return np.ascontiguousarray(keys.astype(">u8")).view(np.uint8).reshape(
-        rows, key_length * 8
-    )
+
+def _native(keys: np.ndarray) -> np.ndarray:
+    """Key rows read as native integers: equal exactly where the keys are."""
+    return keys.view(keys.dtype.newbyteorder("="))
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Contiguous key rows read as rank keys (one void of a row's bytes,
+    ordered as the rows are), without a copy."""
+    row = np.dtype((np.void, keys.shape[-1] * keys.dtype.itemsize))
+    return keys.view(row)[..., 0]
 
 
 class _PrefixTree:
-    """One tree of the forest: keys in a sorted column-major NumPy array.
+    """One tree of the forest: keys in a sorted NumPy array.
 
-    ``_keys`` (``(n, key_length)`` uint64) and ``_items`` (``int32`` ids of
-    ``ids``) are parallel and ordered by ``_ranks``, the precomputed
-    lexicographic rank keys.  ``_alive`` marks tombstoned rows;
+    ``_keys`` (``(n, key_length)`` big-endian rows of the forest's key
+    dtype) and ``_items`` (``int32`` ids of ``ids``) are parallel and in
+    lexicographic key order.  ``_alive`` marks tombstoned rows;
     ``_pending`` buffers inserts until the next query forces a merge;
     ``_row_of`` maps an id to its live row (-1 for none; ids past its end
     have none).
     """
 
-    def __init__(self, key_length: int, ids: ItemIds) -> None:
+    def __init__(self, key_length: int, ids: ItemIds, dtype: np.dtype) -> None:
         self.key_length = key_length
         self._ids = ids
-        self._rank_dtype = np.dtype((np.void, key_length * 8))
-        self._keys = np.empty((0, key_length), dtype=np.uint64)
-        self._ranks = np.empty(0, dtype=self._rank_dtype)
+        self._keys = np.empty((0, key_length), dtype=dtype)
         self._items = _NO_IDS
         self._alive = np.empty(0, dtype=bool)
         self._dead = 0
@@ -275,11 +281,21 @@ class _PrefixTree:
     def __len__(self) -> int:
         return len(self._items) - self._dead + len(self._pending)
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Pickle protocols before 5 restore a big-endian array in native
+        # byte order (same values, other bytes): make the rows big-endian
+        # again, or their bytes would not sort as their values do.
+        self.__dict__.update(state)
+        dtype = _key_dtype(self._keys.dtype)
+        self._keys = self._keys.astype(dtype, copy=False)
+        self._pending = [(key.astype(dtype, copy=False), item) for key, item in self._pending]
+
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
     def insert(self, key: np.ndarray, item: int) -> None:
-        self._pending.append((np.ascontiguousarray(key, dtype=np.uint64), item))
+        """Buffer a key row (of the tree's dtype) until the next merge."""
+        self._pending.append((key, item))
 
     def remove(self, item: int) -> None:
         self.remove_batch([item])
@@ -309,10 +325,6 @@ class _PrefixTree:
         ):
             self._rebuild()
 
-    def _rank_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Big-endian byte views of key rows; compare lexicographically."""
-        return np.ascontiguousarray(keys.astype(">u8")).view(self._rank_dtype).ravel()
-
     def _rebuild(self) -> None:
         """Merge pending inserts, drop tombstones, restore sorted order.
 
@@ -323,12 +335,12 @@ class _PrefixTree:
         keys = self._keys[keep]
         items = self._items[keep]
         if self._pending:
-            pending_keys = np.vstack([key for key, _ in self._pending])
-            keys = np.vstack([keys, pending_keys]) if keys.size else pending_keys
+            # An explicit dtype: NumPy's default would be native byte order.
+            keys = np.concatenate((keys, [key for key, _ in self._pending]), dtype=keys.dtype)
             items = np.concatenate(
                 (items, np.array([item for _, item in self._pending], dtype=np.int32))
             )
-        ranks = self._rank_keys(keys)
+        ranks = _ranks(keys)
         order = np.argsort(ranks, kind="stable")
         # Canonical tie order: rows sharing a key are ordered by their item
         # (the item's rank in the id registry).  This makes the layout a
@@ -341,8 +353,7 @@ class _PrefixTree:
         runs = np.concatenate(([True], sorted_ranks[1:] != sorted_ranks[:-1]))
         if not runs.all():
             order = order[np.lexsort((self._ids.ranks()[items[order]], np.cumsum(runs)))]
-        self._keys = np.ascontiguousarray(keys[order])
-        self._ranks = ranks[order]
+        self._keys = keys[order]
         self._items = items[order]
         self._alive = np.ones(self._items.shape[0], dtype=bool)
         self._dead = 0
@@ -370,7 +381,15 @@ class _PrefixTree:
     def state(self) -> _TreeState:
         """The arrays a descent reads, after merging pending inserts."""
         self._ensure_flushed()
-        return _TreeState(self._keys, self._ranks, self._items, self._alive if self._dead else None)
+        keys = self._keys
+        return _TreeState(
+            _native(keys), _ranks(keys), self._items, self._alive if self._dead else None
+        )
+
+    def row(self, item: int) -> np.ndarray:
+        """The key row of a live item."""
+        self._ensure_flushed()
+        return self._keys[self._row_of[item]]
 
     def export_state(self, copy: bool = True) -> Tuple[np.ndarray, List[Hashable]]:
         """``(keys, items)`` of the compacted tree, in sorted key order.
@@ -386,38 +405,20 @@ class _PrefixTree:
             [items[item] for item in self._items.tolist()],
         )
 
-    def import_state(
-        self,
-        keys: np.ndarray,
-        items: List[Hashable],
-        ranks: Optional[np.ndarray] = None,
-    ) -> None:
+    def import_state(self, keys: np.ndarray, items: List[Hashable]) -> None:
         """Restore a state produced by :meth:`export_state` (replaces contents).
 
-        ``keys`` must already be in lexicographic order (as exported).  When
-        ``ranks`` (the :func:`rank_key_bytes` of the keys) is provided it is
-        adopted as a view; otherwise the rank keys are re-materialised, which
-        is a cheap vectorized byte conversion rather than a re-sort.  Both
-        paths preserve array views: a contiguous ``keys`` array of the right
-        dtype — e.g. a read-only view over a shared-memory segment — is
-        adopted without copying.  Each item gets its registry id.
+        ``keys`` must already be in lexicographic order (as exported).  A
+        contiguous ``keys`` array of the tree's dtype — e.g. a read-only view
+        over a shared-memory segment — is adopted without copying.  Each
+        item gets its registry id.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        keys = np.ascontiguousarray(keys, dtype=self._keys.dtype)
         if keys.ndim != 2 or keys.shape != (len(items), self.key_length):
             raise ValueError(
                 f"inconsistent prefix-tree state: keys {keys.shape}, {len(items)} items"
             )
         self._keys = keys
-        if ranks is None:
-            self._ranks = self._rank_keys(keys)
-        else:
-            ranks = np.ascontiguousarray(ranks, dtype=np.uint8)
-            if ranks.shape != (len(items), self.key_length * 8):
-                raise ValueError(
-                    f"inconsistent prefix-tree rank state: ranks {ranks.shape}, "
-                    f"{len(items)} items of key length {self.key_length}"
-                )
-            self._ranks = ranks.view(self._rank_dtype).reshape(len(items))
         self._items = np.fromiter(map(self._ids.assign, items), dtype=np.int32, count=len(items))
         self._alive = np.ones(len(items), dtype=bool)
         self._dead = 0
@@ -425,12 +426,9 @@ class _PrefixTree:
         self._index_rows()
 
     def estimated_bytes(self) -> int:
-        """Approximate footprint: keys, rank keys, item ids and the row registry."""
-        pending = len(self._pending) * (self.key_length * 8 + 8)
-        return int(
-            self._keys.nbytes + self._ranks.nbytes + self._items.nbytes
-            + self._row_of.nbytes + pending
-        )
+        """Approximate footprint: keys, item ids and the row registry."""
+        pending = len(self._pending) * (self._keys.itemsize * self.key_length + 8)
+        return int(self._keys.nbytes + self._items.nbytes + self._row_of.nbytes + pending)
 
 
 class LSHForest:
@@ -440,7 +438,9 @@ class LSHForest:
     trees, each using ``num_hashes // num_trees`` positions as its key.
     Items are stored under their ids in ``ids`` (a registry of its own
     unless the caller shares one), so every item must be hashable and
-    comparable with the others.
+    comparable with the others.  Keys take the width of the signatures: an
+    empty forest adopts the dtype of the next signature inserted, and
+    casts later ones to it.
     """
 
     def __init__(
@@ -461,22 +461,24 @@ class LSHForest:
         self.step_count = self.key_length * num_trees
         self.seed = seed
         self.ids = ItemIds() if ids is None else ids
-        self._trees = [_PrefixTree(self.key_length, self.ids) for _ in range(num_trees)]
-        self._signatures: Dict[Hashable, np.ndarray] = {}
+        #: The inserted keys, in insertion order.
+        self._members: Dict[Hashable, None] = {}
+        self._adopt(np.dtype(">u8"))
+
+    def _adopt(self, dtype: np.dtype) -> None:
+        """Key rows of ``dtype`` from now on (the forest holds no item)."""
+        #: The trees' big-endian key dtype.
+        self.key_dtype = dtype
+        self._trees = [
+            _PrefixTree(self.key_length, self.ids, dtype) for _ in range(self.num_trees)
+        ]
         self._joined: Optional[_Joined] = None
 
     def __len__(self) -> int:
-        return len(self._signatures)
+        return len(self._members)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._signatures
-
-    def _tree_keys(self, signature: np.ndarray) -> np.ndarray:
-        """Per-tree key rows: shape ``(num_trees, key_length)`` uint64."""
-        used = signature[: self.num_trees * self.key_length]
-        return np.ascontiguousarray(
-            used.astype(np.uint64, copy=False).reshape(self.num_trees, self.key_length)
-        )
+        return key in self._members
 
     def insert(self, key: Hashable, signature: np.ndarray) -> None:
         """Insert (or replace) an item keyed by ``key``."""
@@ -485,19 +487,22 @@ class LSHForest:
             raise ValueError(
                 f"signature of length {signature.shape[0]} is shorter than num_hashes={self.num_hashes}"
             )
-        if key in self._signatures:
+        if key in self._members:
             self.remove(key)
-        self._signatures[key] = signature
+        dtype = _key_dtype(signature.dtype)
+        if not self._members and dtype != self.key_dtype:
+            self._adopt(dtype)
+        self._members[key] = None
         item = self.ids.assign(key)
-        tree_keys = self._tree_keys(signature)
+        tree_keys = self.walk_keys([signature])[0]
         for tree_index, tree in enumerate(self._trees):
             tree.insert(tree_keys[tree_index], item)
 
     def remove(self, key: Hashable) -> None:
         """Remove ``key`` (no-op when absent)."""
-        if key not in self._signatures:
+        if key not in self._members:
             return
-        del self._signatures[key]
+        del self._members[key]
         item = self.ids.find(key)
         for tree in self._trees:
             tree.remove(item)
@@ -509,18 +514,23 @@ class LSHForest:
         its compaction threshold once after the whole batch instead of
         after every removal.
         """
-        present = [key for key in keys if key in self._signatures]
+        present = [key for key in keys if key in self._members]
         if not present:
             return
         for key in present:
-            del self._signatures[key]
+            del self._members[key]
         items = [self.ids.find(key) for key in present]
         for tree in self._trees:
             tree.remove_batch(items)
 
     def signature(self, key: Hashable) -> np.ndarray:
-        """Stored signature for ``key``."""
-        return self._signatures[key]
+        """The signature positions ``key`` is stored under (the first
+        ``num_trees * key_length``), read back from its tree rows."""
+        if key not in self._members:
+            raise KeyError(key)
+        item = self.ids.find(key)
+        rows = np.concatenate([tree.row(item) for tree in self._trees])
+        return rows.astype(rows.dtype.newbyteorder("="))
 
     def query(
         self,
@@ -542,7 +552,7 @@ class LSHForest:
 
     def query_all(self, signature: np.ndarray, exclude: Optional[Hashable] = None) -> List[Hashable]:
         """Return every key sharing at least the length-1 prefix in some tree."""
-        return self.query(signature, k=len(self._signatures) + 1, exclude=exclude)
+        return self.query(signature, k=len(self._members) + 1, exclude=exclude)
 
     def multi_query(
         self,
@@ -582,16 +592,14 @@ class LSHForest:
         populated = [
             index for index, signature in enumerate(signatures) if signature is not None
         ]
-        if k <= 0 or not populated or not self._signatures:
+        if k <= 0 or not populated or not self._members:
             return results
-        used = self.num_trees * self.key_length
-        # (queries, trees, key_length): tree t keys on signature slice t.
-        keys = np.array(
-            [np.asarray(signatures[index])[:used] for index in populated], dtype=np.uint64
-        ).reshape(len(populated), self.num_trees, self.key_length)
+        keys = self.walk_keys([signatures[index] for index in populated])
         trees = [tree.state() for tree in self._trees]
         joined = self._joined_tables(trees)
-        low, high = self._step_ranges(trees, joined, keys.transpose(1, 0, 2))
+        low, high = self._step_ranges(
+            trees, joined, np.ascontiguousarray(keys.transpose(1, 0, 2))
+        )
         for index, found in zip(
             populated, self._walk(trees, joined, low, high, k, exclude, walks)
         ):
@@ -625,22 +633,23 @@ class LSHForest:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Row range ``[low, high)`` of every (tree, query, prefix length).
 
-        ``keys`` are the queries' keys per tree, ``(num_trees, queries,
-        key_length)``; ``low`` and ``high`` have that shape too, prefix
-        lengths longest first.
+        ``keys`` are the queries' contiguous key rows per tree, ``(num_trees,
+        queries, key_length)`` of :attr:`key_dtype`; ``low`` and ``high``
+        have that shape too, prefix lengths longest first.
         """
         num_trees, count, key_length = keys.shape
         lengths = np.arange(key_length, 0, -1)
         sizes = np.array([tree.keys.shape[0] for tree in trees])[:, np.newaxis, np.newaxis]
-        ranks = np.ascontiguousarray(keys, dtype=">u8").view(self._trees[0]._rank_dtype)
+        ranks = _ranks(keys)
+        keys = _native(keys)
         # Where each whole key sorts (``at``), and the rows either side of
         # it, clamped into the tree.
         at = np.empty((num_trees, 2, count), dtype=np.int64)
         for index, tree in enumerate(trees):
-            at[index, 1] = tree.ranks.searchsorted(ranks[index, :, 0])
+            at[index, 1] = tree.ranks.searchsorted(ranks[index])
         np.subtract(at[:, 1], 1, out=at[:, 0])
         near = np.minimum(np.maximum(at, 0), sizes - 1)
-        rows = np.empty(near.shape + (key_length,), dtype=np.uint64)
+        rows = np.empty(near.shape + (key_length,), dtype=keys.dtype)
         for index, tree in enumerate(trees):
             if sizes[index]:
                 tree.keys.take(near[index], axis=0, out=rows[index])
@@ -779,12 +788,13 @@ class LSHForest:
     # walk order (see the module docstring)
     # ------------------------------------------------------------------ #
     def walk_keys(self, signatures: Sequence[np.ndarray]) -> np.ndarray:
-        """Tree keys of many query signatures: ``(queries, num_trees, key_length)``."""
+        """Tree keys of many signatures: ``(queries, num_trees, key_length)``
+        of :attr:`key_dtype` (tree ``t`` keys on signature slice ``t``)."""
         used = self.num_trees * self.key_length
-        keys = np.empty((len(signatures), self.num_trees, self.key_length), dtype=np.uint64)
+        keys = np.empty((len(signatures), used), dtype=self.key_dtype)
         for row, signature in enumerate(signatures):
-            keys[row] = np.asarray(signature)[:used].reshape(self.num_trees, self.key_length)
-        return keys
+            keys[row] = np.asarray(signature)[:used]
+        return keys.reshape(len(signatures), self.num_trees, self.key_length)
 
     def walk_steps(self, keys: np.ndarray, signatures: Sequence[np.ndarray]) -> np.ndarray:
         """The step at which each query's walk reaches each signature's item.
@@ -796,8 +806,8 @@ class LSHForest:
         ``t`` sharing it, or :attr:`step_count` when it shares none — one
         vectorized prefix comparison for every (query, item, tree).
         """
-        items = self.walk_keys(signatures)
-        equal = keys[:, np.newaxis] == items[np.newaxis]
+        keys = _native(np.asarray(keys, dtype=self.key_dtype))
+        equal = keys[:, np.newaxis] == _native(self.walk_keys(signatures))[np.newaxis]
         # Shared prefix length: the first differing position, or all of it.
         shared = np.where(equal.all(axis=3), self.key_length, equal.argmin(axis=3))
         longest = shared.max(axis=2)
@@ -911,7 +921,7 @@ class LSHForest:
         if not items:
             return []
         steps = self.walk_steps(
-            self.walk_keys([signature]), [self._signatures[item] for item in items]
+            self.walk_keys([signature]), [self.signature(item) for item in items]
         )[0].tolist()
         # Step t < num_trees is tree t's first step: one order per tree.
         orders = [self.step_order(tree) for tree in range(self.num_trees)]
@@ -925,14 +935,12 @@ class LSHForest:
 
     def keys(self) -> List[Hashable]:
         """All inserted keys."""
-        return list(self._signatures)
+        return list(self._members)
 
     def export_state(self, copy: bool = True) -> Dict[str, object]:
-        """Raw-array state of the forest, suitable for persistence.
+        """Raw-array state of the forest, suitable for persistence: per tree
+        its big-endian key rows and their items.
 
-        Per-item signatures are deliberately *not* included: every D3L forest
-        shares them with the evidence type's signature matrix, so the caller
-        persists them once and passes them back to :meth:`import_state`.
         ``copy=False`` exposes the live key arrays (read-once callers only).
         """
         trees = []
@@ -946,10 +954,12 @@ class LSHForest:
             "trees": trees,
         }
 
-    def import_state(
-        self, state: Dict[str, object], signatures: Dict[Hashable, np.ndarray]
-    ) -> None:
-        """Restore a state produced by :meth:`export_state` (replaces contents)."""
+    def import_state(self, state: Dict[str, object]) -> None:
+        """Restore a state produced by :meth:`export_state` (replaces contents).
+
+        The forest takes the key dtype of the state's keys; key arrays of
+        a big-endian unsigned dtype are adopted without a copy.
+        """
         if (
             state.get("num_hashes") != self.num_hashes
             or state.get("num_trees") != self.num_trees
@@ -961,17 +971,16 @@ class LSHForest:
         trees = state["trees"]
         if len(trees) != self.num_trees:
             raise ValueError(f"expected {self.num_trees} tree states, got {len(trees)}")
-        self._signatures = dict(signatures)
+        self._adopt(_key_dtype(np.asarray(trees[0]["keys"]).dtype))
         for tree, tree_state in zip(self._trees, trees):
-            tree.import_state(
-                tree_state["keys"], tree_state["items"], tree_state.get("ranks")
-            )
+            tree.import_state(tree_state["keys"], tree_state["items"])
+        # The registry's items, not the state's equal copies.
+        items = self.ids.items
+        self._members = dict.fromkeys(items[item] for item in self._trees[0]._items.tolist())
 
     def estimated_bytes(self) -> int:
-        """Approximate memory footprint (signatures, tree entries and the
-        joined tables)."""
-        signature_bytes = sum(sig.nbytes for sig in self._signatures.values())
+        """Approximate memory footprint (tree entries and the joined tables)."""
         tree_bytes = sum(tree.estimated_bytes() for tree in self._trees)
         joined = self._joined
         joined_bytes = 0 if joined is None else joined.blocks.nbytes + joined.items.nbytes
-        return int(signature_bytes + tree_bytes + joined_bytes)
+        return int(tree_bytes + joined_bytes)

@@ -17,7 +17,7 @@ from repro.lsh.hashing import MAX_HASH, HashFamily, hash_tokens
 
 
 class MinHash:
-    """A MinHash signature over a token set.
+    """A MinHash signature over a token set: ``num_perm`` ``uint32`` values.
 
     Instances created from the same :class:`MinHashFactory` (or the same
     ``num_perm``/``seed`` pair) are comparable with :meth:`jaccard`.
@@ -113,7 +113,7 @@ class MinHashFactory:
 
     def from_hashvalues(self, hashvalues: np.ndarray) -> MinHash:
         """Wrap an existing signature array (e.g. loaded from disk)."""
-        values = np.asarray(hashvalues, dtype=np.uint64)
+        values = np.asarray(hashvalues, dtype=np.uint32)
         if values.shape != (self.num_perm,):
             raise ValueError(
                 f"expected signature of shape ({self.num_perm},), got {values.shape}"

@@ -183,12 +183,15 @@ def batch_cosine_distances(
     query_zero: bool = False,
     zero_rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Estimated cosine distances between one bit signature and a bit matrix.
+    """Estimated cosine distances between one bit signature and a packed bit matrix.
 
-    ``matrix`` has shape ``(n, num_bits)``; one vectorized XOR-style popcount
-    (a boolean-difference row sum) replaces ``n`` pairwise
-    ``cosine_distance`` calls.  Zero-vector rows (and every row when
-    ``query_zero``) get the maximal distance 1.0, as in the scalar path.
+    ``query_bits`` holds one bit per byte (:attr:`RandomProjection.bits`);
+    ``matrix`` holds signatures packed 8 bits to a byte (``np.packbits``
+    rows, shape ``(n, ceil(num_bits / 8))``), so one popcount of the XOR
+    with the packed query replaces ``n`` pairwise ``cosine_distance``
+    calls (both sides pad the last byte with zeros, which never differ).
+    Zero-vector rows (and every row when ``query_zero``) get the maximal
+    distance 1.0, as in the scalar path.
     """
     count = matrix.shape[0]
     if count == 0:
@@ -196,7 +199,7 @@ def batch_cosine_distances(
     if query_zero:
         return np.ones(count, dtype=np.float64)
     num_bits = int(query_bits.shape[0])
-    differing = np.count_nonzero(matrix != query_bits[np.newaxis, :], axis=1)
+    differing = np.bitwise_count(matrix ^ np.packbits(query_bits)).sum(axis=1)
     distances = _cosine_distance_table(num_bits)[differing]
     if zero_rows is not None:
         distances[zero_rows] = 1.0

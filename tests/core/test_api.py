@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.api import (
@@ -63,6 +64,12 @@ class TestQueryRequestValidation:
     def test_rejects_non_integer_k(self, figure1_tables):
         with pytest.raises(ValueError, match="k must be an integer"):
             QueryRequest(target=figure1_tables["target"], k=2.5)
+
+    @pytest.mark.parametrize("flag", ["exclude_self", "explain", "joins"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, np.True_], ids=repr)
+    def test_rejects_non_boolean_flags(self, figure1_tables, flag, value):
+        with pytest.raises(ValueError, match=f"^{flag} must be a boolean$"):
+            QueryRequest(target=figure1_tables["target"], **{flag: value})
 
     def test_rejects_unknown_evidence(self, figure1_tables):
         with pytest.raises(ValueError, match="unknown evidence type 'X'"):
@@ -708,6 +715,13 @@ class TestRequestWireFormat:
         profile = figure1_engine.profile_target(figure1_tables["target"])
         with pytest.raises(ValueError, match="cannot be serialised"):
             query_request_to_wire(QueryRequest(target=profile))
+
+    @pytest.mark.parametrize("flag", ["exclude_self", "explain", "joins"])
+    def test_flags_must_be_booleans(self, figure1_tables, flag):
+        wire = query_request_to_wire(QueryRequest(target=figure1_tables["target"]))
+        for value in ("false", 1):
+            with pytest.raises(ValueError, match=f"{flag} must be a boolean"):
+                query_request_from_wire(wire | {flag: value})
 
     def test_weights_must_be_an_object(self, figure1_tables):
         wire = query_request_to_wire(QueryRequest(target=figure1_tables["target"]))

@@ -50,7 +50,7 @@ class TestBatchedMinHashEquivalence:
         for signature, tokens in zip(batched, token_sets):
             # Seed path: per-token blake2b hashing, one permutation per set.
             reference = family.minhash_values(scalar_hash_tokens(tokens, seed=seed))
-            assert signature.hashvalues.dtype == np.uint64
+            assert signature.hashvalues.dtype == np.uint32
             assert np.array_equal(signature.hashvalues, reference)
             # And therefore identical to the single-set factory path.
             assert signature == factory.from_tokens(tokens)
@@ -179,12 +179,11 @@ class TestTableSignatures:
                 signature = signatures[evidence]
                 if signature is None:
                     continue
-                scalar._signatures[evidence][profile.ref] = signature
                 raw = signature.hashvalues if evidence is not EvidenceType.EMBEDDING else signature.bits
                 scalar._forests[evidence].insert(profile.ref, raw)
                 scalar._matrices[evidence].add(
                     profile.ref,
-                    raw,
+                    raw if evidence is not EvidenceType.EMBEDDING else np.packbits(raw),
                     signature.is_empty()
                     if evidence is not EvidenceType.EMBEDDING
                     else signature.is_zero,

@@ -230,9 +230,8 @@ class TestIndexDelta:
         assert name == "signature_reuse"
         for attribute_name, attribute in profile.attributes.items():
             for evidence in EvidenceType.indexed():
-                assert (
-                    signatures[attribute_name][evidence]
-                    is engine.indexes.signature(evidence, attribute.ref)
+                assert signatures[attribute_name][evidence] == engine.indexes.signature(
+                    evidence, attribute.ref
                 )
 
 
@@ -329,7 +328,7 @@ class TestBatchedRemoval:
         try:
             evidence = EvidenceType.indexed()[0]
             host = engine.indexes._forests[evidence]
-            keys = sorted(engine.indexes._signatures[evidence])
+            keys = sorted(host.keys())
             doomed = keys[::3] + ["not-a-key"]
             sequential = pickle.loads(pickle.dumps(host))
             for key in reversed(doomed):

@@ -1,9 +1,11 @@
-"""Tests for engine/index persistence (v3 multi-section format)."""
+"""Tests for engine/index persistence (v4 checksummed multi-section format)."""
 
+import io
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
@@ -117,6 +119,18 @@ class TestErrorHandling:
         with pytest.raises(PersistenceError, match="version 2"):
             load_indexes(path)
 
+    def test_v3_payload_rejected_with_clear_message(self, tmp_path):
+        """v3 stored 64-bit signature rows; loading one must say to re-index."""
+        path = tmp_path / "v3.pkl"
+        with path.open("wb") as handle:
+            pickle.dump({"kind": "d3l_engine", "version": 3, "sections": {}}, handle)
+        with pytest.raises(PersistenceError) as excinfo:
+            load_engine(path)
+        message = str(excinfo.value)
+        assert "version 3" in message
+        assert f"expected {FORMAT_VERSION}" in message
+        assert "re-index" in message
+
     def test_current_version_without_sections_rejected(self, tmp_path):
         path = tmp_path / "hollow.pkl"
         with path.open("wb") as handle:
@@ -160,13 +174,15 @@ class TestRawBufferRoundTrip:
             for row, ref in enumerate(refs):
                 signature = loaded.signature(evidence, ref)
                 assert signature is not None
-                raw = (
-                    signature.bits
-                    if evidence is EvidenceType.EMBEDDING
-                    else signature.hashvalues
-                )
-                assert np.array_equal(raw, matrix[row])
-                assert np.array_equal(loaded.forest(evidence).signature(ref), matrix[row])
+                stored = loaded.forest(evidence).signature(ref)
+                if evidence is EvidenceType.EMBEDDING:
+                    # One bit per byte in the signature and the forest,
+                    # packed 8 to a byte in the matrix.
+                    assert np.array_equal(np.packbits(signature.bits), matrix[row])
+                    assert np.array_equal(np.packbits(stored), matrix[row])
+                else:
+                    assert np.array_equal(signature.hashvalues, matrix[row])
+                    assert np.array_equal(stored, matrix[row])
 
     def test_round_trip_twice_is_stable(self, figure1_engine, tmp_path):
         first = load_engine(save_engine(figure1_engine, tmp_path / "first.pkl"))
@@ -271,3 +287,69 @@ class TestJoinGraphPersistence:
         graph = restored.engine.cached_join_graph
         assert graph is not None
         assert self._edge_map(graph) == self._edge_map(join_engine.join_graph)
+
+
+@pytest.fixture(scope="module")
+def saved_engine(figure1_engine, tmp_path_factory):
+    """A small saved engine's bytes, with each section's byte range."""
+    path = save_engine(figure1_engine, tmp_path_factory.mktemp("saved") / "engine.pkl")
+    data = path.read_bytes()
+    stream = io.BytesIO(data)
+    header = pickle.load(stream)
+    ranges, start = [], stream.tell() + 4  # after the header's checksum
+    for name, size, _ in header["sections"]:
+        ranges.append((name, start, start + size))
+        start += size
+    assert start == len(data)
+    return data, ranges
+
+
+def _load_damaged(data: bytes, tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("damaged") / "engine.pkl"
+    path.write_bytes(data)
+    with pytest.raises(PersistenceError) as excinfo:
+        load_engine(path)
+    return str(excinfo.value)
+
+
+class TestDamagedFiles:
+    """A truncated or bit-flipped v4 file is refused with a PersistenceError,
+    which names the damaged section; nothing fails inside the restore."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_truncated_file(self, saved_engine, tmp_path_factory, fraction):
+        data, ranges = saved_engine
+        cut = int(fraction * len(data))
+        message = _load_damaged(data[:cut], tmp_path_factory)
+        for name, start, end in ranges:
+            if cut < end:
+                if cut >= ranges[0][1]:
+                    assert f"section {name!r}" in message
+                break
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    def test_bit_flipped_file(self, saved_engine, tmp_path_factory, fraction, bit):
+        data, ranges = saved_engine
+        at = int(fraction * len(data))
+        damaged = bytearray(data)
+        damaged[at] ^= 1 << bit
+        message = _load_damaged(bytes(damaged), tmp_path_factory)
+        for name, start, end in ranges:
+            if start <= at < end:
+                assert f"section {name!r} fails its checksum" in message
+
+    def test_every_section_is_checked(self, saved_engine, tmp_path_factory):
+        data, ranges = saved_engine
+        assert {name for name, _, _ in ranges} >= {
+            "config", "profiles", "evidence", "weights", "join_graph", "join_overlap_cache",
+        }
+        for name, start, end in ranges:
+            damaged = bytearray(data)
+            damaged[(start + end) // 2] ^= 0x10
+            message = _load_damaged(bytes(damaged), tmp_path_factory)
+            assert f"section {name!r} fails its checksum" in message

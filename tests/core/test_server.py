@@ -254,6 +254,17 @@ class TestErrorHandling:
         assert status == 200
         assert payload == _oracle_payload(any_server.engine, request)
 
+    @pytest.mark.parametrize("flag", ["exclude_self", "explain", "joins"])
+    def test_non_boolean_flags_are_400(self, any_server, small_synthetic_benchmark, flag):
+        request = QueryRequest(target=small_synthetic_benchmark.lake.tables[0], k=5)
+        wire = query_request_to_wire(request)
+        status, payload = _request(any_server, "POST", "/query", wire | {flag: "false"})
+        assert status == 400
+        assert f"{flag} must be a boolean" in payload["error"]
+        status, payload = _request(any_server, "POST", "/query", wire)
+        assert status == 200
+        assert payload == _oracle_payload(any_server.engine, request)
+
     def test_oversized_body_is_413_and_the_server_keeps_serving(
         self, server, indexed_d3l, small_synthetic_benchmark
     ):

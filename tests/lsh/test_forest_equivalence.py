@@ -281,7 +281,7 @@ class TestBatchDistanceEquivalence:
         ]
         signatures.append(projections.from_vector(np.zeros(16)))
         query = signatures[0]
-        matrix = np.vstack([signature.bits for signature in signatures])
+        matrix = np.packbits([signature.bits for signature in signatures], axis=1)
         zero_rows = np.array([signature.is_zero for signature in signatures])
         batched = batch_cosine_distances(
             query.bits, matrix, query_zero=query.is_zero, zero_rows=zero_rows

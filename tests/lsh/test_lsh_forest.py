@@ -243,18 +243,17 @@ class TestConcurrentFlush:
         forest.insert("new", signature)
         tree = forest._trees[0]
         merging, release = threading.Event(), threading.Event()
-        rank_keys = tree._rank_keys
+        rebuild = tree._rebuild
         stalls = []
 
-        # Only the merge ranks keys (under the flush lock); queries rank
-        # their own keys without it.
-        def slow_rank_keys(keys):
-            stalls.append(len(keys))
+        # Only the merge rebuilds the tree, under the flush lock.
+        def slow_rebuild():
+            stalls.append(len(tree._items) + len(tree._pending))
             merging.set()
             release.wait(10)
-            return rank_keys(keys)
+            rebuild()
 
-        tree._rank_keys = slow_rank_keys
+        tree._rebuild = slow_rebuild
         answers = {}
 
         def ask(name):

@@ -95,4 +95,4 @@ class TestJaccardEstimation:
             factory.from_tokens({"a"}).jaccard(other_factory.from_tokens({"a"}))
 
     def test_bytes_size_reflects_signature(self, factory):
-        assert factory.from_tokens({"a"}).bytes_size() == 256 * 8
+        assert factory.from_tokens({"a"}).bytes_size() == 256 * 4
